@@ -5,53 +5,65 @@
 
 namespace asman::sim {
 
+static constexpr std::size_t kArity = 4;
+
 EventId EventQueue::schedule(Cycles at, Callback cb) {
-  const EventId id{next_seq_++};
-  heap_.push(Entry{at, id.seq, std::move(cb)});
-  pending_seqs_.insert(id.seq);
-  ++live_count_;
-  return id;
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()));
+    slots_.emplace_back();
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  const Key key{at, next_seq_++, slot};
+  slots_[slot] = Slot{key.seq, std::move(cb)};
+  // Sift up: move parents down into the hole until the key fits.
+  std::size_t i = heap_.size();
+  heap_.emplace_back();
+  for (std::size_t p; i > 0 && key < heap_[p = (i - 1) / kArity]; i = p)
+    heap_[i] = heap_[p];
+  heap_[i] = key;
+  return EventId{key.seq, slot};
 }
 
 bool EventQueue::cancel(EventId id) {
-  if (!id.valid()) return false;
-  // An id is pending iff it was issued, not yet fired, and not yet
-  // cancelled. Fired entries are removed from the heap eagerly, so a stale
-  // id can only match a heap entry if it is still pending.
-  const bool inserted = cancelled_.insert(id.seq).second;
-  if (!inserted) return false;
-  if (pending_seqs_.erase(id.seq) == 0) {
-    cancelled_.erase(id.seq);
-    return false;
-  }
-  --live_count_;
+  if (!pending(id)) return false;
+  slots_[id.slot].cb = nullptr;
+  release(id.slot);
   return true;
 }
 
-void EventQueue::skip_cancelled() const {
-  while (!heap_.empty()) {
-    const auto it = cancelled_.find(heap_.top().seq);
-    if (it == cancelled_.end()) break;
-    cancelled_.erase(it);
-    heap_.pop();
+void EventQueue::release(std::uint32_t slot) {
+  slots_[slot].seq = 0;
+  free_slots_.push_back(slot);
+  // Pop every stale key off the top, so the top is always live.
+  while (!heap_.empty() &&
+         slots_[heap_.front().slot].seq != heap_.front().seq) {
+    // Sift the last key down from the root over the other n keys: move the
+    // least child up into the hole until `last` fits, then drop the tail.
+    const Key last = heap_.back();
+    const std::size_t n = heap_.size() - 1;
+    std::size_t i = 0;
+    for (std::size_t first; (first = i * kArity + 1) < n;) {
+      std::size_t least = first;
+      for (std::size_t c = first + 1; c < first + kArity && c < n; ++c)
+        if (heap_[c] < heap_[least]) least = c;
+      if (!(heap_[least] < last)) break;
+      heap_[i] = heap_[least];
+      i = least;
+    }
+    heap_[i] = last;
+    heap_.pop_back();
   }
 }
 
-Cycles EventQueue::next_time() const {
-  skip_cancelled();
-  return heap_.empty() ? Cycles::max() : heap_.top().at;
-}
-
 Cycles EventQueue::pop_and_run() {
-  skip_cancelled();
   assert(!heap_.empty());
-  // Move the callback out before popping so re-entrant schedule() calls in
-  // the callback cannot invalidate the entry mid-flight.
-  Entry top = std::move(const_cast<Entry&>(heap_.top()));
-  heap_.pop();
-  pending_seqs_.erase(top.seq);
-  --live_count_;
-  top.cb();
+  const Key top = heap_.front();
+  // Releasing the slot pops the now stale top key. The callback runs from a
+  // local: re-entrant schedule() calls may reuse the slot or grow the pool.
+  const Callback cb = std::move(slots_[top.slot].cb);
+  release(top.slot);
+  cb();
   return top.at;
 }
 

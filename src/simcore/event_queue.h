@@ -1,16 +1,17 @@
 // Cancellable discrete-event queue with deterministic ordering.
 //
-// Events at equal timestamps fire in insertion order (a monotonically
-// increasing sequence number breaks ties), which makes whole simulations
-// bit-reproducible regardless of heap internals. Cancellation is lazy: a
-// cancelled entry stays in the heap and is skipped on pop, which keeps both
-// schedule() and cancel() O(log n) / O(1).
+// Events at equal timestamps fire in insertion order (a dense sequence
+// number from 1 breaks ties), so whole simulations are bit-reproducible.
+// A slot pool owns the callbacks and a 4-ary min-heap orders POD
+// {at, seq, slot} keys into it: a sift never moves a callback. A slot holds
+// the seq of its event (0 when free), so pending() and cancel() compare it
+// with the EventId's {seq, slot} in O(1). A fired or cancelled event frees
+// its slot at once; keys whose slot no longer carries their seq are popped
+// as soon as they reach the top, so the top key is always live.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "simcore/time.h"
@@ -20,6 +21,7 @@ namespace asman::sim {
 /// Opaque handle identifying a scheduled event; may be used to cancel it.
 struct EventId {
   std::uint64_t seq{0};
+  std::uint32_t slot{0};
   constexpr bool valid() const { return seq != 0; }
   friend constexpr bool operator==(EventId, EventId) = default;
 };
@@ -38,39 +40,44 @@ class EventQueue {
 
   /// True while `id` is scheduled and neither fired nor cancelled.
   bool pending(EventId id) const {
-    return pending_seqs_.count(id.seq) != 0;
+    return id.valid() && id.slot < slots_.size() &&
+           slots_[id.slot].seq == id.seq;
   }
 
-  bool empty() const { return live_count_ == 0; }
-  std::size_t size() const { return live_count_; }
+  // The top key is always live; a slot off the free list is pending.
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return slots_.size() - free_slots_.size(); }
 
   /// Timestamp of the earliest pending event; Cycles::max() when empty.
-  Cycles next_time() const;
+  Cycles next_time() const {
+    return heap_.empty() ? Cycles::max() : heap_.front().at;
+  }
 
   /// Pop and run the earliest pending event. Returns its timestamp.
   /// Precondition: !empty().
   Cycles pop_and_run();
 
  private:
-  struct Entry {
+  struct Key {
     Cycles at;
     std::uint64_t seq;
-    Callback cb;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
+    std::uint32_t slot;
+    bool operator<(const Key& o) const {
+      return at != o.at ? at < o.at : seq < o.seq;
     }
   };
+  struct Slot {
+    std::uint64_t seq{0};
+    Callback cb;
+  };
 
-  void skip_cancelled() const;
+  /// Free `slot` (its event fired or was cancelled) and pop stale keys.
+  void release(std::uint32_t slot);
 
-  mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  mutable std::unordered_set<std::uint64_t> cancelled_;
-  std::unordered_set<std::uint64_t> pending_seqs_;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_{1};
-  std::size_t live_count_{0};
 };
 
 }  // namespace asman::sim

@@ -19,10 +19,7 @@ class EventScope {
  public:
   /// Schedule `cb` after `delay` on `s`, tracked by this scope.
   EventId after(Simulator& s, Cycles delay, EventQueue::Callback cb) {
-    const EventId id = s.after(delay, std::move(cb));
-    ids_.push_back(id);
-    compact(s);
-    return id;
+    return at(s, s.now() + delay, std::move(cb));
   }
 
   /// Schedule `cb` at absolute `when` on `s`, tracked by this scope.

@@ -8,7 +8,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <utility>
 
 #include "simcore/event_queue.h"
@@ -53,13 +52,31 @@ class ASMAN_CAPABILITY("simulator") Simulator {
 
   /// Run until the queue drains or the clock passes `deadline`.
   /// Events at exactly `deadline` still fire. Returns events processed.
-  std::uint64_t run_until(Cycles deadline);
+  std::uint64_t run_until(Cycles deadline) {
+    const std::uint64_t n = run_while(deadline, [] { return true; });
+    if (deadline != Cycles::max() && now_ < deadline) now_ = deadline;
+    return n;
+  }
 
   /// Run until the queue is empty.
   std::uint64_t run_all() { return run_until(Cycles::max()); }
 
   /// Run while `pred()` is true and events remain before `deadline`.
-  std::uint64_t run_while(Cycles deadline, const std::function<bool()>& pred);
+  /// `pred` is called exactly once before each event, only while the queue
+  /// is non-empty, and before the deadline check.
+  template <typename Pred>
+  std::uint64_t run_while(Cycles deadline, Pred&& pred) {
+    std::uint64_t n = 0;
+    while (!queue_.empty() && pred()) {
+      const Cycles t = queue_.next_time();
+      if (t > deadline) break;
+      now_ = t;
+      queue_.pop_and_run();
+      ++n;
+    }
+    events_processed_ += n;
+    return n;
+  }
 
   std::uint64_t events_processed() const { return events_processed_; }
   std::size_t pending_events() const { return queue_.size(); }

@@ -100,5 +100,41 @@ TEST(Simulator, ZeroDelayEventRunsAtSameTime) {
   EXPECT_EQ(s.now(), Cycles{10});
 }
 
+// The run_while predicate contract that event-boundary tracers rely on:
+// one call before each event, no call once the queue runs dry, the call
+// comes before the deadline check, and pending_events() never counts a
+// cancelled event.
+TEST(Simulator, RunWhilePredicateContract) {
+  Simulator s;
+  std::vector<std::size_t> pending_at_call;
+  const auto pred = [&] {
+    pending_at_call.push_back(s.pending_events());
+    return true;
+  };
+  EXPECT_EQ(s.run_while(Cycles::max(), pred), 0u);
+  EXPECT_TRUE(pending_at_call.empty());  // empty queue: no call at all
+
+  s.after(Cycles{10}, [] {});
+  const EventId dropped = s.after(Cycles{15}, [] {});
+  s.after(Cycles{20}, [] {});
+  const EventId last = s.after(Cycles{40}, [] {});
+  EXPECT_TRUE(s.cancel(dropped));
+  EXPECT_EQ(s.pending_events(), 3u);
+  // Deadline 20: the call before the t=40 event still happens, then the
+  // deadline stops the loop.
+  EXPECT_EQ(s.run_while(Cycles{20}, pred), 2u);
+  EXPECT_EQ(pending_at_call, (std::vector<std::size_t>{3, 2, 1}));
+  EXPECT_EQ(s.now(), Cycles{20});
+
+  // A cancelled event queued after the last live one must not cost a call.
+  EXPECT_TRUE(s.cancel(s.at(Cycles{60}, [] {})));
+  EXPECT_TRUE(s.pending(last));
+  pending_at_call.clear();
+  EXPECT_EQ(s.run_while(Cycles::max(), pred), 1u);
+  EXPECT_EQ(pending_at_call, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(s.pending_events(), 0u);
+  EXPECT_EQ(s.events_processed(), 3u);
+}
+
 }  // namespace
 }  // namespace asman::sim
