@@ -6,6 +6,7 @@
 //   -> schedule_timeline.csv  (vm, vcpu, online_at_ms, offline_at_ms)
 //   and a console summary of coscheduling activity.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
@@ -48,26 +49,24 @@ int main(int argc, char** argv) {
   hv->attach_guest(v1, &guest_kernel);
 
   hv->start();
-  trace.enable(true);
+  trace.clear();
   s.run_until(sim::kDefaultClock.from_seconds_f(seconds));
 
   // Reconstruct online spans of V1's VCPUs from the sched trace.
   const sim::ClockDomain clock = mach.clock();
-  std::map<std::string, double> online_at;
+  std::map<std::uint32_t, double> online_at;
   std::vector<std::vector<std::string>> rows;
-  for (const auto& rec : trace.filter(sim::TraceCat::kSched)) {
-    // messages look like "v1.2 online on P3" / "v1.2 offline from P3"
-    const std::size_t sp = rec.msg.find(' ');
-    if (sp == std::string::npos) continue;
-    const std::string who = rec.msg.substr(0, sp);
-    if (who.rfind("v1.", 0) != 0) continue;  // only VM V1
+  for (const sim::TraceRecord& rec : trace.records()) {
+    if (rec.vm != v1) continue;
     const double t_ms = clock.to_ms(rec.at);
-    if (rec.msg.find(" online ") != std::string::npos) {
-      online_at[who] = t_ms;
-    } else if (auto it = online_at.find(who); it != online_at.end()) {
-      rows.push_back({who, experiments::fmt_f(it->second, 3),
+    if (rec.kind == sim::TraceKind::kVcpuOnline) {
+      online_at[rec.vcpu] = t_ms;
+    } else if (rec.kind == sim::TraceKind::kVcpuOffline &&
+               online_at.count(rec.vcpu) != 0) {
+      rows.push_back({"v1." + std::to_string(rec.vcpu),
+                      experiments::fmt_f(online_at[rec.vcpu], 3),
                       experiments::fmt_f(t_ms, 3)});
-      online_at.erase(it);
+      online_at.erase(rec.vcpu);
     }
   }
   experiments::write_csv("schedule_timeline.csv",
@@ -86,12 +85,8 @@ int main(int argc, char** argv) {
                     ? s.now() - hv->vm(v1).vcrd_high_since
                     : sim::Cycles{0}))
                   .ratio(s.now()));
-  std::printf("\nfirst cosched trace lines:\n%s",
-              sim::Trace().enabled() ? "" : "");
-  std::size_t shown = 0;
-  for (const auto& rec : cosched) {
-    if (shown++ >= 8) break;
-    std::printf("  [%8.2f ms] %s\n", clock.to_ms(rec.at), rec.msg.c_str());
-  }
+  std::printf("\nfirst cosched trace lines:\n");
+  for (std::size_t i = 0; i < cosched.size() && i < 8; ++i)
+    std::printf("  %s\n", sim::format_record(cosched[i]).c_str());
   return 0;
 }

@@ -88,10 +88,6 @@ Cycles GuestKernel::thread_finish_time(Tid t) const {
   return threads_[t]->finish_time;
 }
 
-void GuestKernel::note_trace(sim::TraceCat cat, const std::string& msg) {
-  if (trace_) trace_->emit(sim_.now(), cat, msg);
-}
-
 // --- execution engine ---------------------------------------------------------
 
 Tid GuestKernel::executing_on(std::uint32_t v) const {
@@ -229,8 +225,7 @@ void GuestKernel::lock_acquire(Tid t, std::uint32_t lock,
   w.cross_ev = sim_.after(cfg_.over_threshold,
                           [this, lock, t] { spin_cross_check(lock, t); });
   locks_[lock].waiters.push_back(std::move(w));
-  note_trace(sim::TraceCat::kLock,
-             "t" + std::to_string(t) + " spins on " + locks_[lock].name);
+  note_trace(sim::TraceKind::kLockSpin, th.vcpu, t, lock);
 }
 
 void GuestKernel::spin_cross_check(std::uint32_t lock, Tid t) {
@@ -264,9 +259,7 @@ void GuestKernel::grant_to_waiter(std::uint32_t lock, std::size_t idx) {
   th.act.kind = ActKind::kNone;
   const Cycles waited = sim_.now() - w.since;
   record_spin_wait(waited);
-  note_trace(sim::TraceCat::kLock, "t" + std::to_string(w.tid) +
-                                       " acquired " + l.name + " after " +
-                                       sim::format_cycles(waited));
+  note_trace(sim::TraceKind::kLockAcquired, th.vcpu, w.tid, lock);
   w.acquired(waited);
 }
 
@@ -448,7 +441,7 @@ void GuestKernel::idle_check(std::uint32_t v) {
     if (cc.online && !cc.in_irq && cc.current == kNoTid && cc.runq.empty() &&
         !cc.halted) {
       cc.halted = true;
-      note_trace(sim::TraceCat::kGuest, "vcpu" + std::to_string(v) + " halt");
+      note_trace(sim::TraceKind::kGuestHalt, v);
       hv_.vcpu_block(vm_id_, v);
     }
   });
@@ -973,7 +966,7 @@ void GuestKernel::retire(Tid t) {
     sim_.cancel(c.quantum_ev);
     c.quantum_ev = {};
   }
-  note_trace(sim::TraceCat::kGuest, "t" + std::to_string(t) + " done");
+  note_trace(sim::TraceKind::kThreadDone, th.vcpu, t);
   if (all_threads_done() && all_done_) {
     Cont cb = std::move(all_done_);
     all_done_ = nullptr;

@@ -280,7 +280,10 @@ class GuestKernel final : public vmm::GuestPort {
   void op_sleep(Tid t, Cycles len);
   void retire(Tid t);
 
-  void note_trace(sim::TraceCat cat, const std::string& msg);
+  void note_trace(sim::TraceKind kind, std::uint32_t vcpu, std::int64_t a = 0,
+                  std::int64_t b = 0) {
+    if (trace_) trace_->emit({sim_.now(), kind, vm_id_, vcpu, 0, a, b});
+  }
 
   sim::Simulator& sim_;
   vmm::HypervisorPort& hv_;

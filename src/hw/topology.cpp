@@ -5,20 +5,6 @@
 
 namespace asman::hw {
 
-const char* to_string(TopoDistance d) {
-  switch (d) {
-    case TopoDistance::kSelf:
-      return "self";
-    case TopoDistance::kSameLlc:
-      return "same-llc";
-    case TopoDistance::kSameSocket:
-      return "same-socket";
-    case TopoDistance::kCrossSocket:
-      return "cross-socket";
-  }
-  return "?";
-}
-
 const char* to_string(ConfigError e) {
   switch (e) {
     case ConfigError::kNoPcpus:

@@ -33,8 +33,6 @@ enum class TopoDistance : std::uint8_t {
   kCrossSocket,  // different package (cross-FSB/QPI)
 };
 
-const char* to_string(TopoDistance d);
-
 class Topology {
  public:
   /// Unspecified: resolved to flat(num_pcpus) by the hypervisor.

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <compare>
 #include <limits>
-#include <string>
 
 namespace asman::sim {
 
@@ -93,7 +92,5 @@ constexpr unsigned log2_floor(Cycles c) {
 
 /// 2^exp cycles — the paper's thresholds are expressed this way (delta=20).
 constexpr Cycles pow2_cycles(unsigned exp) { return Cycles{1ULL << exp}; }
-
-std::string format_cycles(Cycles c);
 
 }  // namespace asman::sim

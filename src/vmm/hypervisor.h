@@ -609,7 +609,10 @@ class Hypervisor : public HypervisorPort {
   bool is_schedulable(const Vcpu& v) const;
   /// True if placing a VCPU of `vm_id` on `p` would co-locate gang members.
   bool would_collide(VmId vm_id, PcpuId p) const;
-  void note_trace(sim::TraceCat cat, std::string msg);
+  void note_trace(sim::TraceKind kind, VmId vm = 0, std::uint32_t vcpu = 0,
+                  PcpuId pcpu = 0, std::int64_t a = 0, std::int64_t b = 0) {
+    if (trace_) trace_->emit({sim_.now(), kind, vm, vcpu, pcpu, a, b});
+  }
 
   // --- topology placement & migration cost (topology-gated) ------------------
   /// Cost model active: any multi-domain topology pays migration penalties,
@@ -678,7 +681,7 @@ class Hypervisor : public HypervisorPort {
   bool gang_homes_collide(const Vm& v) const;
   /// Record a LOW->HIGH transition in the flap window; demote on overflow.
   void note_flap(Vm& v);
-  void demote_vm(Vm& v, const char* why);
+  void demote_vm(Vm& v, DemoteReason why);
   /// Lift expired demotions and stale-HIGH VCRDs (accounting boundary).
   void degradation_tick(Vm& v);
   /// Verify the sibling an IPI targeted actually arrived; re-send up to the

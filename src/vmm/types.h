@@ -35,7 +35,8 @@ struct VcpuKey {
 /// be scheduled asynchronously.
 enum class Vcrd : std::uint8_t { kLow, kHigh };
 
-inline const char* to_string(Vcrd v) { return v == Vcrd::kHigh ? "HIGH" : "LOW"; }
+/// Why a VM lost its coscheduling privileges (graceful degradation).
+enum class DemoteReason : std::uint8_t { kVcrdFlap, kWatchdogStreak };
 
 /// Administrator-declared VM type, used only by the *static* coscheduling
 /// baseline (CON, the authors' earlier VEE'09 system): a VM manually typed

@@ -165,12 +165,12 @@ TEST(Determinism, AuditedRunMatchesUnauditedRun) {
 }
 #endif
 
+// Every VMM and guest record of one run, one formatted line each.
 std::string trace_blob(std::uint64_t seed) {
   sim::Simulator s;
   sim::Trace trace;
-  trace.enable(true);
   core::AdaptiveScheduler hv(s, small_machine(2),
-                             vmm::SchedMode::kNonWorkConserving);
+                             vmm::SchedMode::kNonWorkConserving, &trace);
   const vmm::VmId id = hv.create_vm("V0", 256, 2);
   guest::GuestKernel::Config gc;
   gc.n_vcpus = 2;
@@ -183,8 +183,7 @@ std::string trace_blob(std::uint64_t seed) {
   s.run_until(ms(800));
   std::string blob;
   for (const sim::TraceRecord& r : trace.records())
-    append(blob, "%" PRIu64 " %s %s\n", r.at.v, sim::trace_cat_name(r.cat),
-           r.msg.c_str());
+    blob += sim::format_record(r) + '\n';
   return blob;
 }
 

@@ -58,12 +58,6 @@ TEST(Pow2Cycles, MatchesShift) {
   for (unsigned e = 0; e < 40; ++e) EXPECT_EQ(pow2_cycles(e).v, 1ULL << e);
 }
 
-TEST(FormatCycles, Units) {
-  EXPECT_EQ(format_cycles(kDefaultClock.from_seconds_f(2.0)), "2.000s");
-  EXPECT_EQ(format_cycles(kDefaultClock.from_ms(3)), "3.000ms");
-  EXPECT_EQ(format_cycles(Cycles{100}), "100c");
-}
-
 class Log2FloorProperty : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(Log2FloorProperty, InverseOfPow2) {

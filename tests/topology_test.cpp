@@ -49,11 +49,6 @@ TEST(TopologyShape, DistanceClassesMatchTheHarpertownLayout) {
   EXPECT_EQ(t.distance(0, 2), hw::TopoDistance::kSameSocket);
   EXPECT_EQ(t.distance(0, 4), hw::TopoDistance::kCrossSocket);
   EXPECT_EQ(t.distance(4, 0), hw::TopoDistance::kCrossSocket);
-  EXPECT_STREQ(hw::to_string(hw::TopoDistance::kSelf), "self");
-  EXPECT_STREQ(hw::to_string(hw::TopoDistance::kSameLlc), "same-llc");
-  EXPECT_STREQ(hw::to_string(hw::TopoDistance::kSameSocket), "same-socket");
-  EXPECT_STREQ(hw::to_string(hw::TopoDistance::kCrossSocket),
-               "cross-socket");
 }
 
 TEST(TopologyShape, FlatTopologyCollapsesEveryDistance) {
