@@ -5,21 +5,23 @@
 // 200 tenants: seeded churn of live migrations, retirements and hot
 // admissions, two host crashes (with crash recovery re-placing every
 // surviving VM), a degraded-host window and a migration-link-loss window.
+// The points run through the same BasicSweep harness as the single-host
+// benches; each point's scheduler and seed come from its ClusterScenario.
 // The JSON (BENCH_cluster.json; committed baseline in bench/baselines/)
 // carries events/sec, ns/event and the process peak RSS so the fabric's
 // perf trajectory is tracked run over run. Run with ASMAN_AUDIT=1 to get
 // all ten invariants — including single-ownership and cluster credit
-// conservation — checked on every point; violations fail the binary.
-#include <vector>
-
+// conservation — checked on every point. A violation or a VM lost to a
+// host crash fails the binary.
 #include "bench_util.h"
 #include "experiments/cluster.h"
-#include "simcore/thread_pool.h"
 
 using namespace asman;
 using namespace asman::bench;
 
 namespace {
+
+using ClusterSweep = BasicSweep<ex::ClusterScenario>;
 
 constexpr core::SchedulerKind kScheds[] = {core::SchedulerKind::kCredit,
                                            core::SchedulerKind::kCon,
@@ -29,14 +31,7 @@ constexpr std::uint32_t kHosts = 16;
 constexpr std::uint32_t kVms = 200;
 constexpr std::uint64_t kSeed = 42;
 
-struct ClusterPoint {
-  std::string label;
-  ex::ClusterScenario scenario;
-  ex::ClusterRunResult run;
-  double wall_seconds{0};
-};
-
-void annotate(const ClusterPoint& p, benchmark::State& st) {
+void annotate(const ClusterSweep::PointResult& p, benchmark::State& st) {
   const ex::ClusterRunResult& rr = p.run;
   st.counters["events_per_sec"] =
       p.wall_seconds > 0
@@ -54,20 +49,21 @@ void annotate(const ClusterPoint& p, benchmark::State& st) {
   st.counters["peak_rss_bytes"] = static_cast<double>(peak_rss_bytes());
 }
 
-void print_table(const std::vector<ClusterPoint>& points) {
+void print_table(const ClusterSweep& sweep) {
   std::printf("\n== cluster fabric storm (%u hosts, %u tenants, seed %llu) "
               "==\n",
               kHosts, kVms, static_cast<unsigned long long>(kSeed));
   ex::TextTable t({"scheduler", "events", "ns/event", "committed", "aborted",
                    "crashes", "replaced", "lost", "violations"});
-  for (const ClusterPoint& p : points) {
+  for (const std::string& label : sweep.labels()) {
+    const ClusterSweep::PointResult& p = sweep.get(label);
     char nspe[32];
     std::snprintf(nspe, sizeof nspe, "%.1f",
                   p.run.events > 0
                       ? p.wall_seconds * 1e9 /
                             static_cast<double>(p.run.events)
                       : 0.0);
-    t.add_row({p.label, std::to_string(p.run.events), nspe,
+    t.add_row({label, std::to_string(p.run.events), nspe,
                std::to_string(p.run.migrations_committed),
                std::to_string(p.run.migrations_aborted),
                std::to_string(p.run.host_crashes),
@@ -81,68 +77,22 @@ void print_table(const std::vector<ClusterPoint>& points) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
+  ClusterSweep sweep;
+  for (core::SchedulerKind k : kScheds)
+    sweep.add(core::to_string(k),
+              ex::cluster_chaos_scenario(k, kHosts, kVms, kSeed));
+  const int rc =
+      run_bench_main(argc, argv, sweep, "cluster", annotate, print_table);
 
-  std::vector<ClusterPoint> points;
-  for (core::SchedulerKind k : kScheds) {
-    ClusterPoint p;
-    p.label = core::to_string(k);
-    p.scenario = ex::cluster_chaos_scenario(k, kHosts, kVms, kSeed);
-    points.push_back(std::move(p));
-  }
-  std::fprintf(stderr, "[sweep] running %zu cluster storms...\n",
-               points.size());
-  sim::ThreadPool pool;
-  pool.parallel_for(points.size(), [&](std::size_t i) {
-    points[i].wall_seconds = wall_seconds_of(
-        [&] { points[i].run = ex::run_cluster_scenario(points[i].scenario); });
-  });
-  std::fprintf(stderr, "[sweep] done.\n");
-
-  std::vector<BenchRecord> records;
-  for (const ClusterPoint& p : points)
-    records.push_back(BenchRecord{p.label, p.label, kSeed, p.run.events,
-                                  p.wall_seconds});
-  const std::string json = write_bench_json(records, "cluster");
-  if (!json.empty())
-    std::fprintf(stderr, "[bench] wrote %s\n", json.c_str());
-
-  for (const ClusterPoint& p : points) {
-    const ClusterPoint* pp = &p;
-    benchmark::RegisterBenchmark(
-        ("cluster/" + p.label).c_str(),
-        [pp](benchmark::State& state) {
-          for (auto _ : state) state.SetIterationTime(pp->wall_seconds);
-          annotate(*pp, state);
-        })
-        ->UseManualTime()
-        ->Iterations(1);
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_table(points);
-
-  // Auditing (ASMAN_AUDIT=1) and crash recovery are both hard gates: a
-  // violated invariant or a VM lost to a host crash fails the binary so CI
-  // treats it as an error, exactly like the adversary bench.
-  std::uint64_t violations = 0;
+  // Crash recovery is a hard gate beside the audit: a VM lost to a host
+  // crash fails the binary, exactly like an invariant violation.
   std::uint64_t lost = 0;
-  for (const ClusterPoint& p : points) {
-    if (p.run.audit_violations > 0)
-      std::fprintf(stderr, "[audit] %s: %llu violation(s)\n%s",
-                   p.label.c_str(),
-                   static_cast<unsigned long long>(p.run.audit_violations),
-                   p.run.audit_summary.c_str());
-    violations += p.run.audit_violations;
-    lost += p.run.vms_lost;
-  }
-  if (violations > 0 || lost > 0) {
-    std::fprintf(stderr,
-                 "[bench] FAILED: %llu invariant violation(s), %llu VM(s) "
-                 "lost\n",
-                 static_cast<unsigned long long>(violations),
+  for (const std::string& label : sweep.labels())
+    lost += sweep.get(label).run.vms_lost;
+  if (lost > 0) {
+    std::fprintf(stderr, "[bench] FAILED: %llu VM(s) lost\n",
                  static_cast<unsigned long long>(lost));
     return 1;
   }
-  return 0;
+  return rc;
 }

@@ -13,7 +13,8 @@ std::uint64_t peak_rss_bytes() {
   return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024u;
 }
 
-std::string write_bench_json(const std::vector<BenchRecord>& records,
+template <typename Sc>
+std::string write_bench_json(const BasicSweep<Sc>& sweep,
                              const std::string& name) {
   const std::string path = "BENCH_" + name + ".json";
   std::FILE* out = std::fopen(path.c_str(), "w");
@@ -25,17 +26,22 @@ std::string write_bench_json(const std::vector<BenchRecord>& records,
   std::fprintf(out, "  \"peak_rss_bytes\": %" PRIu64 ",\n", peak_rss_bytes());
   std::fprintf(out, "  \"points\": [");
   bool first = true;
-  for (const BenchRecord& r : records) {
-    const double events = static_cast<double>(r.events);
-    const double eps = r.wall_seconds > 0 ? events / r.wall_seconds : 0.0;
-    const double nspe = events > 0 ? r.wall_seconds * 1e9 / events : 0.0;
+  for (const std::string& label : sweep.labels()) {
+    if (!sweep.executed(label)) continue;
+    const Sc& sc = sweep.scenario(label);
+    const BasicPointResult<Sc>& pr = sweep.get(label);
+    const double wall = pr.wall_seconds;
+    const double events = static_cast<double>(pr.run.events);
+    const double eps = wall > 0 ? events / wall : 0.0;
+    const double nspe = events > 0 ? wall * 1e9 / events : 0.0;
     std::fprintf(out,
                  "%s\n    {\"label\": \"%s\", \"scheduler\": \"%s\", "
                  "\"seed\": %" PRIu64 ", \"events\": %" PRIu64
                  ", \"wall_seconds\": %.6f, \"events_per_sec\": %.1f, "
                  "\"ns_per_event\": %.2f}",
-                 first ? "" : ",", r.label.c_str(), r.scheduler.c_str(),
-                 r.seed, r.events, r.wall_seconds, eps, nspe);
+                 first ? "" : ",", label.c_str(),
+                 core::to_string(sc.scheduler), sc.seed, pr.run.events, wall,
+                 eps, nspe);
     first = false;
   }
   std::fprintf(out, "\n  ]\n}\n");
@@ -43,21 +49,12 @@ std::string write_bench_json(const std::vector<BenchRecord>& records,
   return path;
 }
 
-std::string write_bench_json(const Sweep& sweep, const std::string& name) {
-  std::vector<BenchRecord> records;
-  for (const std::string& label : sweep.labels()) {
-    if (!sweep.executed(label)) continue;
-    const PointResult& pr = sweep.get(label);
-    records.push_back(BenchRecord{label, core::to_string(pr.run.scheduler),
-                                  sweep.scenario(label).seed, pr.run.events,
-                                  pr.wall_seconds});
-  }
-  return write_bench_json(records, name);
-}
-
-int run_bench_main(int argc, char** argv, Sweep& sweep,
-                   const std::string& prefix, const Annotator& annotate,
-                   const std::function<void(const Sweep&)>& print_tables) {
+template <typename Sc>
+int run_bench_main(
+    int argc, char** argv, BasicSweep<Sc>& sweep, const std::string& prefix,
+    const std::type_identity_t<BasicAnnotator<Sc>>& annotate,
+    const std::type_identity_t<std::function<void(const BasicSweep<Sc>&)>>&
+        print_tables) {
   benchmark::Initialize(&argc, argv);
   sweep.execute();
   const std::string json = write_bench_json(sweep, prefix);
@@ -78,5 +75,17 @@ int run_bench_main(int argc, char** argv, Sweep& sweep,
   }
   return 0;
 }
+
+template std::string write_bench_json(const Sweep&, const std::string&);
+template int run_bench_main(int, char**, Sweep&, const std::string&,
+                            const Annotator&,
+                            const std::function<void(const Sweep&)>&);
+
+using ClusterSweep = BasicSweep<ex::ClusterScenario>;
+template std::string write_bench_json(const ClusterSweep&, const std::string&);
+template int run_bench_main(
+    int, char**, ClusterSweep&, const std::string&,
+    const BasicAnnotator<ex::ClusterScenario>&,
+    const std::function<void(const ClusterSweep&)>&);
 
 }  // namespace asman::bench

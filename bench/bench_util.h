@@ -1,11 +1,14 @@
-// Shared plumbing for the figure-reproduction bench binaries.
+// Shared plumbing for the bench binaries.
 //
-// Every bench binary reproduces one figure of the paper: it declares a
-// sweep of scenarios (scheduler x online rate x workload), executes them in
-// parallel on a thread pool (each simulation is single-threaded and
-// deterministic), registers one google-benchmark entry per point whose
-// manual time is the measured simulation wall time and whose counters carry
-// the paper metrics, and finally prints the paper-style table.
+// Every bench binary declares a sweep of scenarios (scheduler x online rate
+// x workload for the paper figures, or one cluster storm per scheduler),
+// executes them in parallel on a thread pool (each simulation is
+// single-threaded and deterministic), registers one google-benchmark entry
+// per point whose manual time is the measured simulation wall time and
+// whose counters carry the paper metrics, writes BENCH_<name>.json and
+// finally prints its tables. BasicSweep is generic over the scenario type:
+// ex::Scenario runs through run_scenario (Sweep, the single-host benches),
+// ex::ClusterScenario through run_cluster_scenario (bench_cluster).
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -16,8 +19,11 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "experiments/cluster.h"
 #include "experiments/paper.h"
 #include "experiments/runner.h"
 #include "experiments/tables.h"
@@ -27,8 +33,17 @@ namespace asman::bench {
 
 namespace ex = asman::experiments;
 
-struct PointResult {
-  ex::RunResult run;
+/// The runner for each scenario type a sweep can hold.
+inline ex::RunResult run_point(const ex::Scenario& sc) {
+  return ex::run_scenario(sc);
+}
+inline ex::ClusterRunResult run_point(const ex::ClusterScenario& sc) {
+  return ex::run_cluster_scenario(sc);
+}
+
+template <typename Sc>
+struct BasicPointResult {
+  decltype(run_point(std::declval<const Sc&>())) run;
   double wall_seconds{0};
 };
 
@@ -47,12 +62,16 @@ inline double wall_seconds_of(const std::function<void()>& fn) {
 }
 
 /// Annotates one google-benchmark entry with counters for a point.
-using Annotator =
-    std::function<void(const PointResult&, benchmark::State&)>;
+template <typename Sc>
+using BasicAnnotator =
+    std::function<void(const BasicPointResult<Sc>&, benchmark::State&)>;
 
-class Sweep {
+template <typename Sc>
+class BasicSweep {
  public:
-  void add(std::string label, ex::Scenario scenario) {
+  using PointResult = BasicPointResult<Sc>;
+
+  void add(std::string label, Sc scenario) {
     labels_.push_back(label);
     scenarios_.emplace(std::move(label), std::move(scenario));
   }
@@ -71,7 +90,7 @@ class Sweep {
     std::vector<PointResult> out(todo.size());
     pool.parallel_for(todo.size(), [&](std::size_t i) {
       out[i].wall_seconds = wall_seconds_of(
-          [&] { out[i].run = ex::run_scenario(scenarios_.at(todo[i])); });
+          [&] { out[i].run = run_point(scenarios_.at(todo[i])); });
     });
     std::uint64_t audited = 0;
     std::uint64_t audit_checks = 0;
@@ -112,7 +131,7 @@ class Sweep {
   const std::vector<std::string>& labels() const { return labels_; }
 
   /// The scenario a label was declared with (for seed/scheduler metadata).
-  const ex::Scenario& scenario(const std::string& label) const {
+  const Sc& scenario(const std::string& label) const {
     return scenarios_.at(label);
   }
 
@@ -123,7 +142,7 @@ class Sweep {
   /// One google-benchmark entry per point; manual time = simulation wall
   /// time, counters = paper metrics chosen by `annotate`.
   void register_benchmarks(const std::string& prefix,
-                           Annotator annotate) const {
+                           BasicAnnotator<Sc> annotate) const {
     for (const auto& l : labels_) {
       const PointResult* pr = &results_.at(l);
       benchmark::RegisterBenchmark(
@@ -141,9 +160,13 @@ class Sweep {
 
  private:
   std::vector<std::string> labels_;
-  std::map<std::string, ex::Scenario> scenarios_;
+  std::map<std::string, Sc> scenarios_;
   std::map<std::string, PointResult> results_;
 };
+
+using Sweep = BasicSweep<ex::Scenario>;
+using PointResult = BasicPointResult<ex::Scenario>;
+using Annotator = BasicAnnotator<ex::Scenario>;
 
 /// Canonical single-VM label "SCHED/rateNN".
 inline std::string rate_label(core::SchedulerKind k, double rate) {
@@ -157,35 +180,24 @@ inline std::string rate_label(core::SchedulerKind k, double rate) {
 /// platform reports nothing useful).
 std::uint64_t peak_rss_bytes();
 
-/// One executed bench point, engine-agnostic: any harness that can name a
-/// point and count its simulated events can emit the standard JSON via
-/// write_bench_json — the cluster bench uses this directly because its
-/// runner returns ClusterRunResult, not the single-host RunResult the
-/// Sweep machinery is built around.
-struct BenchRecord {
-  std::string label;
-  std::string scheduler;
-  std::uint64_t seed{0};
-  std::uint64_t events{0};
-  double wall_seconds{0};
-};
-
 /// Writes BENCH_<name>.json next to the binary's working directory: one
 /// record per executed point carrying label, scheduler, seed, simulated
 /// events, wall seconds, events/sec and ns/event, plus the process-wide
 /// peak RSS. Machine-readable so the perf trajectory can be tracked run
 /// over run (bench/baselines/ holds committed baselines). Returns the
 /// path written, or an empty string on I/O failure.
-std::string write_bench_json(const std::vector<BenchRecord>& records,
+template <typename Sc>
+std::string write_bench_json(const BasicSweep<Sc>& sweep,
                              const std::string& name);
 
-/// Sweep convenience wrapper over the record-based writer.
-std::string write_bench_json(const Sweep& sweep, const std::string& name);
-
 /// Standard bench entry point: execute sweep, emit tables and
-/// BENCH_<prefix>.json, then hand over to google-benchmark.
-int run_bench_main(int argc, char** argv, Sweep& sweep,
-                   const std::string& prefix, const Annotator& annotate,
-                   const std::function<void(const Sweep&)>& print_tables);
+/// BENCH_<prefix>.json, then hand over to google-benchmark. Returns 1 when
+/// an audited point violated an invariant, else 0.
+template <typename Sc>
+int run_bench_main(
+    int argc, char** argv, BasicSweep<Sc>& sweep, const std::string& prefix,
+    const std::type_identity_t<BasicAnnotator<Sc>>& annotate,
+    const std::type_identity_t<std::function<void(const BasicSweep<Sc>&)>>&
+        print_tables);
 
 }  // namespace asman::bench

@@ -197,12 +197,6 @@ const char* to_string(AttackKind k) {
   return "?";
 }
 
-AttackKind attack_from_name(std::string_view name) {
-  for (AttackKind k : kAllAttacks)
-    if (name == to_string(k)) return k;
-  return AttackKind::kTickDodge;
-}
-
 AdversaryTuning AdversaryTuning::resolved() const {
   AdversaryTuning t = *this;
   if (t.slot.v == 0) t.slot = sim::kDefaultClock.from_ms(10);

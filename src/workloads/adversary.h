@@ -23,7 +23,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <string_view>
 
 #include "simcore/simulator.h"
 #include "workloads/workload.h"
@@ -51,7 +50,6 @@ inline constexpr std::array<AttackKind, 4> kAllAttacks = {
     AttackKind::kStarveFlood};
 
 const char* to_string(AttackKind k);
-AttackKind attack_from_name(std::string_view name);
 
 /// Attack calibration. Defaults target the repo's stock machine (10 ms
 /// slot at kDefaultClock, 4 PCPUs); scenario builders override slot /
