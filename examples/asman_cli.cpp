@@ -144,6 +144,11 @@ struct Flag {
   Names (*names)(){nullptr};
   std::uint32_t min{0};
   std::uint32_t max{0xFFFFFFFF};
+  /// Switches that decide whether the flag means anything: it acts only
+  /// with `only_with` on, and never with `not_with` on ("" = no such
+  /// switch). Given where it would be ignored, the command is rejected.
+  const char* only_with{""};
+  const char* not_with{""};
 };
 
 std::string flag_syntax(const Flag& f) {
@@ -275,6 +280,7 @@ int fail(const Command& c, const std::string& why) {
 /// success, else prints usage and returns 2.
 int parse(const Command& c, int argc, char** argv, Args& out) {
   std::string why;
+  std::vector<const Flag*> given;
   for (const Flag& f : c.flags) {
     if (*f.def == '\0')
       out.clear(f);
@@ -304,6 +310,20 @@ int parse(const Command& c, int argc, char** argv, Args& out) {
       return fail(c, arg + ": needs a value");
     }
     if (!out.set(*f, value, why)) return fail(c, why);
+    given.push_back(f);
+  }
+  const auto on = [&given](const char* sw) {
+    return std::any_of(given.begin(), given.end(), [sw](const Flag* g) {
+      return std::strcmp(g->name, sw) == 0;
+    });
+  };
+  for (const Flag* f : given) {
+    if (*f->only_with != '\0' && !on(f->only_with))
+      return fail(c, std::string("--") + f->name + " only applies with --" +
+                         f->only_with);
+    if (*f->not_with != '\0' && on(f->not_with))
+      return fail(c, std::string("--") + f->name + " does not apply with --" +
+                         f->not_with);
   }
   return 0;
 }
@@ -986,6 +1006,14 @@ Flag class_flag(const char* def, const char* help) {
 Flag vms_flag(const char* def, std::uint32_t min, const char* help) {
   return {"vms", Kind::kCount, def, help, nullptr, min};
 }
+Flag only_with(Flag f, const char* sw) {
+  f.only_with = sw;
+  return f;
+}
+Flag not_with(Flag f, const char* sw) {
+  f.not_with = sw;
+  return f;
+}
 const Flag kListChaos{"list", Kind::kSwitch, "",
                       "print the chaos classes and exit"};
 
@@ -1014,8 +1042,10 @@ const std::vector<Command>& commands() {
        chaos_cmd},
       {"churn",
        "runtime VM lifecycle churn under ASMan, audited live",
-       {class_flag("", "compose a chaos class onto the churn"),
-        vms_flag("6", 1, "hot arrivals over the run"), seed_flag("42"),
+       {not_with(class_flag("", "compose a chaos class onto the churn"),
+                 "saturated"),
+        not_with(vms_flag("6", 1, "hot arrivals over the run"), "saturated"),
+        seed_flag("42"),
         kListChaos,
         {"saturated", Kind::kSwitch, "",
          "run the admission-saturated arrival storm instead"}},
@@ -1040,7 +1070,8 @@ const std::vector<Command>& commands() {
        adversary_cmd},
       {"cluster",
        "the 4-host fabric through live migrations and a host crash",
-       {vms_flag("48", 1, "tenants in the --chaos storm"), seed_flag("42"),
+       {only_with(vms_flag("48", 1, "tenants in the --chaos storm"), "chaos"),
+        seed_flag("42"),
         {"chaos", Kind::kSwitch, "",
          "run the 8-host migration and crash storm instead"}},
        cluster_cmd},

@@ -1,7 +1,8 @@
 #include "audit/invariants.h"
 
 #include <cstdio>
-#include <unordered_map>
+#include <deque>
+#include <vector>
 
 #include "vmm/hypervisor.h"
 
@@ -66,13 +67,29 @@ std::uint64_t check_queue_partition(const vmm::Hypervisor& hv,
                                     std::vector<Violation>& out) {
   const auto& machine = hv.machine();
   std::uint64_t checks = 0;
-  // How often each VCPU record is referenced by a queue / a PCPU's current.
-  std::unordered_map<const vmm::Vcpu*, int> queued;
-  std::unordered_map<const vmm::Vcpu*, int> running;
+  // How often each VCPU record is referenced by a queue / a PCPU's current,
+  // in one flat array: VM `id`'s VCPU `i` is refs[first[id] + i]. A queued
+  // pointer that is no VM's record is counted nowhere.
+  struct Refs {
+    int queued{0};
+    int running{0};
+  };
+  std::vector<std::size_t> first(hv.num_vms() + 1, 0);
+  for (vmm::VmId id = 0; id < hv.num_vms(); ++id)
+    first[id + 1] = first[id] + hv.vm(id).vcpus.size();
+  std::vector<Refs> refs(first.back());
+  Refs none;
+  const auto refs_of = [&](const vmm::Vcpu* v) -> Refs& {
+    const vmm::VcpuKey k = v->key;
+    if (k.vm < hv.num_vms() && k.idx < hv.vm(k.vm).vcpus.size() &&
+        &hv.vm(k.vm).vcpus[k.idx] == v)
+      return refs[first[k.vm] + k.idx];
+    return none;
+  };
 
   for (hw::PcpuId p = 0; p < machine.num_pcpus; ++p) {
     for (const vmm::Vcpu* v : hv.runqueue(p).entries()) {
-      ++queued[v];
+      ++refs_of(v).queued;
       ++checks;
       if (v->state != vmm::VcpuState::kRunnable)
         out.push_back({Invariant::kQueuePartition,
@@ -84,7 +101,7 @@ std::uint64_t check_queue_partition(const vmm::Hypervisor& hv,
                            " but where=P" + std::to_string(v->where)});
     }
     if (const vmm::Vcpu* cur = hv.running_on(p)) {
-      ++running[cur];
+      ++refs_of(cur).running;
       ++checks;
       if (cur->state != vmm::VcpuState::kRunning)
         out.push_back({Invariant::kQueuePartition,
@@ -99,10 +116,12 @@ std::uint64_t check_queue_partition(const vmm::Hypervisor& hv,
   }
 
   for (vmm::VmId id = 0; id < hv.num_vms(); ++id) {
-    for (const vmm::Vcpu& c : hv.vm(id).vcpus) {
+    const std::deque<vmm::Vcpu>& vcpus = hv.vm(id).vcpus;
+    for (std::size_t i = 0; i < vcpus.size(); ++i) {
+      const vmm::Vcpu& c = vcpus[i];
       ++checks;
-      const int q = queued.count(&c) ? queued.at(&c) : 0;
-      const int r = running.count(&c) ? running.at(&c) : 0;
+      const int q = refs[first[id] + i].queued;
+      const int r = refs[first[id] + i].running;
       switch (c.state) {
         case vmm::VcpuState::kRunnable:
           if (q != 1 || r != 0)

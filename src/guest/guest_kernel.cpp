@@ -17,10 +17,10 @@ GuestKernel::GuestKernel(sim::Simulator& simulation,
       rng_(cfg.seed ^ (0x5151u + vm_id)),
       vcpus_(cfg.n_vcpus),
       stats_(cfg.keep_wait_samples) {
-  timer_lock_ = create_spinlock("timer");
+  timer_lock_ = create_spinlock();
   rq_locks_.reserve(cfg_.n_vcpus);
   for (std::uint32_t v = 0; v < cfg_.n_vcpus; ++v) {
-    rq_locks_.push_back(create_spinlock("rq:" + std::to_string(v)));
+    rq_locks_.push_back(create_spinlock());
     // IRQ pseudo-thread: the identity under which tick handlers hold locks.
     auto irq = std::make_unique<Thread>();
     irq->id = static_cast<Tid>(threads_.size());
@@ -35,15 +35,14 @@ GuestKernel::~GuestKernel() = default;
 
 // --- setup -------------------------------------------------------------------
 
-std::uint32_t GuestKernel::create_spinlock(std::string name) {
-  locks_.push_back(SpinLock{std::move(name), kNoTid, {}});
+std::uint32_t GuestKernel::create_spinlock() {
+  locks_.push_back(SpinLock{});
   return static_cast<std::uint32_t>(locks_.size() - 1);
 }
 
 std::uint32_t GuestKernel::create_mutex() {
   const auto fq = static_cast<std::uint32_t>(futexes_.size());
-  futexes_.push_back(
-      FutexQ{create_spinlock("futex:m" + std::to_string(mutexes_.size())), {}});
+  futexes_.push_back(FutexQ{create_spinlock(), {}});
   mutexes_.push_back(Mutex{false, fq});
   return static_cast<std::uint32_t>(mutexes_.size() - 1);
 }
@@ -52,16 +51,14 @@ std::uint32_t GuestKernel::create_barrier(std::uint32_t parties,
                                           bool spin_only) {
   assert(parties >= 1);
   const auto fq = static_cast<std::uint32_t>(futexes_.size());
-  futexes_.push_back(FutexQ{
-      create_spinlock("futex:b" + std::to_string(barriers_.size())), {}});
+  futexes_.push_back(FutexQ{create_spinlock(), {}});
   barriers_.push_back(Barrier{parties, 0, 0, fq, spin_only, {}});
   return static_cast<std::uint32_t>(barriers_.size() - 1);
 }
 
 std::uint32_t GuestKernel::create_semaphore(std::int32_t initial) {
   const auto fq = static_cast<std::uint32_t>(futexes_.size());
-  futexes_.push_back(FutexQ{
-      create_spinlock("futex:s" + std::to_string(semaphores_.size())), {}});
+  futexes_.push_back(FutexQ{create_spinlock(), {}});
   semaphores_.push_back(Semaphore{initial, fq});
   return static_cast<std::uint32_t>(semaphores_.size() - 1);
 }
@@ -158,13 +155,13 @@ void GuestKernel::deactivate(Tid t) {
   // kSpin: wall-clock waiting continues; nothing to pause.
 }
 
-void GuestKernel::burn(Tid t, Cycles len, bool kernel, Cont done) {
+void GuestKernel::burn(Tid t, Cycles len, bool kernel, Step then) {
   Thread& th = *threads_[t];
   assert(th.act.kind == ActKind::kNone && "thread already has an activity");
   th.act.kind = ActKind::kBurn;
   th.act.kernel = kernel;
   th.act.remaining = len;
-  th.act.done = std::move(done);
+  th.act.then = then;
   th.act.ev = {};
   if (is_executing(t)) activate(t);
 }
@@ -174,13 +171,11 @@ void GuestKernel::burn_complete(Tid t) {
   assert(th.act.kind == ActKind::kBurn);
   th.act.ev = {};
   th.act.kind = ActKind::kNone;
-  Cont done = std::move(th.act.done);
-  th.act.done = nullptr;
-  done();
+  step(t, std::exchange(th.act.then, Step::kNone));
   maybe_deliver_pending(th.vcpu);
 }
 
-void GuestKernel::repurpose_burn(Tid t, Cycles extra, Cont instead) {
+void GuestKernel::repurpose_burn(Tid t, Cycles extra, Step instead) {
   Thread& th = *threads_[t];
   assert(th.act.kind == ActKind::kBurn);
   if (th.act.ev.valid()) {
@@ -190,8 +185,167 @@ void GuestKernel::repurpose_burn(Tid t, Cycles extra, Cont instead) {
   th.act.kind = ActKind::kBurn;
   th.act.kernel = false;
   th.act.remaining = extra;
-  th.act.done = std::move(instead);
+  th.act.then = instead;
   if (is_executing(t)) activate(t);
+}
+
+// Each case is one continuation point of a kernel path; paths are listed in
+// the order their ops appear below.
+void GuestKernel::step(Tid t, Step s) {
+  Thread& th = *threads_[t];
+  Frame& f = th.frame;
+  switch (s) {
+    case Step::kNone:
+      assert(false && "no step to run");
+      return;
+    case Step::kNextOp:
+      next_op(t);
+      return;
+    case Step::kMutexRetry:
+      mutex_retry(t);
+      return;
+    case Step::kContinueSpin:
+      f.spun += cfg_.spin_yield_period;
+      barrier_spin_loop(t);
+      return;
+
+    case Step::kMutexUnlock:
+      burn(t, Cycles{100}, false, Step::kMutexWakeCheck);
+      return;
+    case Step::kMutexWakeCheck: {
+      Mutex& m = mutexes_[f.obj];
+      m.locked = false;
+      if (!futexes_[m.fq].sleepers.empty()) {
+        futex_wake(t, m.fq, 1);
+      } else {
+        next_op(t);
+      }
+      return;
+    }
+
+    case Step::kFutexWaitLock:
+      lock_acquire(t, futexes_[f.fq].bucket_lock, Step::kFutexWaitEnqueue);
+      return;
+    case Step::kFutexWaitEnqueue:
+      burn(t, cfg_.futex_enqueue_hold, true, Step::kFutexWaitCheck);
+      return;
+    case Step::kFutexWaitCheck:
+      futex_wait_check(t);
+      return;
+    case Step::kSleepRqHold:
+      burn(t, cfg_.rq_wake_hold, true, Step::kSleepBlock);
+      return;
+    case Step::kSleepBlock:
+      lock_release(t, own_rq(t));
+      block_current(t, f.resume);
+      return;
+
+    case Step::kFutexWakeLock:
+      lock_acquire(t, futexes_[f.fq].bucket_lock, Step::kFutexWakeHold);
+      return;
+    case Step::kFutexWakeHold:
+      f.wake_n = static_cast<std::uint32_t>(std::min<std::size_t>(
+          f.wake_n, futexes_[f.fq].sleepers.size()));
+      burn(t,
+           cfg_.futex_wake_base +
+               Cycles{cfg_.futex_wake_per_thread.v * f.wake_n},
+           true, Step::kFutexWakeTake);
+      return;
+    case Step::kFutexWakeTake: {
+      FutexQ& q = futexes_[f.fq];
+      const auto taken =
+          q.sleepers.begin() + static_cast<std::ptrdiff_t>(f.wake_n);
+      th.woken.assign(q.sleepers.begin(), taken);
+      q.sleepers.erase(q.sleepers.begin(), taken);
+      f.wake_i = 0;
+      lock_release(t, q.bucket_lock);
+      wake_chain(t);
+      return;
+    }
+    case Step::kWakeHold:
+      burn(t, cfg_.rq_wake_hold, true, Step::kWakeDone);
+      return;
+    case Step::kWakeDone: {
+      const Tid w = th.woken[f.wake_i++];
+      lock_release(t, own_rq(w));
+      make_ready(w);
+      wake_chain(t);
+      return;
+    }
+
+    case Step::kBarrierArrive:
+      barrier_arrive(t);
+      return;
+    case Step::kSpinChunk:
+      spin_yield(t);
+      return;
+    case Step::kYieldLock:
+      lock_acquire(t, own_rq(t), Step::kYieldHold);
+      return;
+    case Step::kYieldHold:
+      burn(t, cfg_.yield_hold, true, Step::kYieldRelease);
+      return;
+    case Step::kYieldRelease:
+      lock_release(t, own_rq(t));
+      if (f.remote_rq == own_rq(t)) {
+        yield_cpu(t, Step::kContinueSpin);
+      } else {
+        lock_acquire(t, f.remote_rq, Step::kProbeHold);
+      }
+      return;
+    case Step::kProbeHold:
+      burn(t, cfg_.balance_hold, true, Step::kProbeRelease);
+      return;
+    case Step::kProbeRelease:
+      lock_release(t, f.remote_rq);
+      yield_cpu(t, Step::kContinueSpin);
+      return;
+
+    case Step::kSemWaitLock:
+      lock_acquire(t, futexes_[semaphores_[f.obj].fq].bucket_lock,
+                   Step::kSemWaitHold);
+      return;
+    case Step::kSemWaitHold:
+      burn(t, Cycles{300}, true, Step::kSemWaitCheck);
+      return;
+    case Step::kSemWaitCheck:
+      sem_wait_check(t);
+      return;
+    case Step::kSemPostLock:
+      lock_acquire(t, futexes_[semaphores_[f.obj].fq].bucket_lock,
+                   Step::kSemPostHold);
+      return;
+    case Step::kSemPostHold:
+      burn(t, Cycles{300}, true, Step::kSemPostCheck);
+      return;
+    case Step::kSemPostCheck:
+      sem_post_check(t);
+      return;
+
+    case Step::kSleepTimer:
+      sim_.after(f.len, [this, t] {
+        if (threads_[t]->state == TState::kBlocked) make_ready(t);
+      });
+      block_current(t, Step::kNextOp);
+      return;
+
+    case Step::kTickLock:
+      lock_acquire(t, timer_lock_, Step::kTickHold);
+      return;
+    case Step::kTickHold:
+      burn(t, cfg_.tick_lock_hold, true, Step::kTickRelease);
+      return;
+    case Step::kTickRelease:
+      tick_release(t);
+      return;
+    case Step::kTickBalanceHold:
+      burn(t, cfg_.balance_hold, true, Step::kTickBalanceRelease);
+      return;
+    case Step::kTickBalanceRelease:
+      lock_release(t, f.remote_rq);
+      finish_tick(th.vcpu);
+      return;
+  }
 }
 
 // --- spinlocks -----------------------------------------------------------------
@@ -202,29 +356,29 @@ void GuestKernel::record_spin_wait(Cycles waited) {
   if (observer_) observer_->on_spin_acquired(waited);
 }
 
-void GuestKernel::lock_acquire(Tid t, std::uint32_t lock,
-                               std::function<void(Cycles)> acquired) {
+void GuestKernel::lock_acquire(Tid t, std::uint32_t lock, Step then) {
   assert(is_executing(t));
   SpinLock& l = locks_[lock];
+  Thread& th = *threads_[t];
   if (l.owner == kNoTid) {
     l.owner = t;
     record_spin_wait(cfg_.uncontended_acquire);
-    acquired(cfg_.uncontended_acquire);
+    th.frame.lock_wait = cfg_.uncontended_acquire;
+    step(t, then);
     return;
   }
   ++stats_.spin_contended;
-  Thread& th = *threads_[t];
   assert(th.act.kind == ActKind::kNone);
   th.act.kind = ActKind::kSpin;
   th.act.kernel = true;
   th.act.lock = lock;
+  th.act.then = then;
   SpinWaiter w;
   w.tid = t;
   w.since = sim_.now();
-  w.acquired = std::move(acquired);
   w.cross_ev = sim_.after(cfg_.over_threshold,
                           [this, lock, t] { spin_cross_check(lock, t); });
-  locks_[lock].waiters.push_back(std::move(w));
+  l.waiters.push_back(w);
   note_trace(sim::TraceKind::kLockSpin, th.vcpu, t, lock);
 }
 
@@ -249,7 +403,7 @@ void GuestKernel::spin_cross_check(std::uint32_t lock, Tid t) {
 
 void GuestKernel::grant_to_waiter(std::uint32_t lock, std::size_t idx) {
   SpinLock& l = locks_[lock];
-  SpinWaiter w = std::move(l.waiters[idx]);
+  const SpinWaiter w = l.waiters[idx];
   l.waiters.erase(l.waiters.begin() +
                   static_cast<std::ptrdiff_t>(idx));
   l.owner = w.tid;
@@ -260,7 +414,8 @@ void GuestKernel::grant_to_waiter(std::uint32_t lock, std::size_t idx) {
   const Cycles waited = sim_.now() - w.since;
   record_spin_wait(waited);
   note_trace(sim::TraceKind::kLockAcquired, th.vcpu, w.tid, lock);
-  w.acquired(waited);
+  th.frame.lock_wait = waited;
+  step(w.tid, std::exchange(th.act.then, Step::kNone));
 }
 
 void GuestKernel::lock_release(Tid t, std::uint32_t lock) {
@@ -282,13 +437,13 @@ void GuestKernel::lock_release(Tid t, std::uint32_t lock) {
 
 // --- futex / sleep-wake -----------------------------------------------------------
 
-void GuestKernel::block_current(Tid t, Cont on_wake) {
+void GuestKernel::block_current(Tid t, Step on_wake) {
   Thread& th = *threads_[t];
   assert(th.act.kind == ActKind::kNone);
   VcpuCtx& c = vcpus_[th.vcpu];
   assert(c.current == t && !c.in_irq);
   th.state = TState::kBlocked;
-  th.wake_cont = std::move(on_wake);
+  th.wake = on_wake;
   c.current = kNoTid;
   if (c.quantum_ev.valid()) {
     sim_.cancel(c.quantum_ev);
@@ -321,84 +476,60 @@ void GuestKernel::make_ready(Tid t) {
   }
 }
 
-void GuestKernel::futex_wait(Tid t, std::uint32_t fq, Cont on_wake,
-                             const std::function<bool()>& still_needed) {
+// futex_wait: syscall entry, bucket lock, enqueue hold, then the futex
+// value re-check (kFutexWaitCheck) and the sleep behind the own runqueue.
+void GuestKernel::futex_wait(Tid t, std::uint32_t fq, Step on_wake) {
   ++stats_.futex_waits;
-  burn(t, cfg_.syscall_entry, false, [this, t, fq, on_wake, still_needed] {
-    lock_acquire(t, futexes_[fq].bucket_lock,
-                 [this, t, fq, on_wake, still_needed](Cycles) {
-      burn(t, cfg_.futex_enqueue_hold, true,
-           [this, t, fq, on_wake, still_needed] {
-        FutexQ& q = futexes_[fq];
-        if (!still_needed()) {
-          // The condition changed while we were entering the kernel
-          // (futex value re-check): do not sleep.
-          lock_release(t, q.bucket_lock);
-          burn(t, Cycles{200}, false, on_wake);
-          return;
-        }
-        q.sleepers.push_back(t);
-        lock_release(t, q.bucket_lock);
-        // Descheduling takes the thread's own runqueue lock (schedule()):
-        // this lock is also taken by remote wakers, so a holder preempted
-        // here stalls wake-ups for the whole VCPU.
-        const std::uint32_t rq = rq_locks_[threads_[t]->vcpu];
-        lock_acquire(t, rq, [this, t, rq, on_wake](Cycles) {
-          burn(t, cfg_.rq_wake_hold, true, [this, t, rq, on_wake] {
-            lock_release(t, rq);
-            block_current(t, on_wake);
-          });
-        });
-      });
-    });
-  });
+  Frame& f = threads_[t]->frame;
+  f.fq = fq;
+  f.resume = on_wake;
+  burn(t, cfg_.syscall_entry, false, Step::kFutexWaitLock);
 }
 
-void GuestKernel::futex_wake(Tid t, std::uint32_t fq, std::uint32_t n,
-                             Cont done) {
-  ++stats_.futex_wakes;
-  burn(t, cfg_.syscall_entry, false, [this, t, fq, n, done] {
-    lock_acquire(t, futexes_[fq].bucket_lock,
-                 [this, t, fq, n, done](Cycles) {
-      FutexQ& q = futexes_[fq];
-      const std::size_t k =
-          std::min<std::size_t>(n, q.sleepers.size());
-      const Cycles hold =
-          cfg_.futex_wake_base +
-          Cycles{cfg_.futex_wake_per_thread.v * k};
-      burn(t, hold, true, [this, t, fq, k, done] {
-        FutexQ& q2 = futexes_[fq];
-        std::vector<Tid> woken(q2.sleepers.begin(),
-                               q2.sleepers.begin() +
-                                   static_cast<std::ptrdiff_t>(k));
-        q2.sleepers.erase(q2.sleepers.begin(),
-                          q2.sleepers.begin() +
-                              static_cast<std::ptrdiff_t>(k));
-        lock_release(t, q2.bucket_lock);
-        wake_chain(t, std::move(woken), 0, done);
-      });
-    });
-  });
-}
-
-void GuestKernel::wake_chain(Tid waker, std::vector<Tid> woken, std::size_t i,
-                             Cont done) {
-  if (i == woken.size()) {
-    done();
+void GuestKernel::futex_wait_check(Tid t) {
+  const Frame& f = threads_[t]->frame;
+  FutexQ& q = futexes_[f.fq];
+  const bool still_needed = f.resume == Step::kMutexRetry
+                                ? mutexes_[f.obj].locked
+                                : barriers_[f.obj].generation == f.gen;
+  if (!still_needed) {
+    // The condition changed while we were entering the kernel (futex value
+    // re-check): do not sleep.
+    lock_release(t, q.bucket_lock);
+    burn(t, Cycles{200}, false, f.resume);
     return;
   }
-  const Tid w = woken[i];
-  const std::uint32_t rq = rq_locks_[threads_[w]->vcpu];
-  lock_acquire(waker, rq,
-               [this, waker, woken = std::move(woken), i, done, w,
-                rq](Cycles) mutable {
-    burn(waker, cfg_.rq_wake_hold, true,
-         [this, waker, woken = std::move(woken), i, done, w, rq]() mutable {
-      lock_release(waker, rq);
-      make_ready(w);
-      wake_chain(waker, std::move(woken), i + 1, done);
-    });
-  });
+  q.sleepers.push_back(t);
+  lock_release(t, q.bucket_lock);
+  sleep_on_rq(t, f.resume);
+}
+
+// Descheduling takes the thread's own runqueue lock (schedule()): this lock
+// is also taken by remote wakers, so a holder preempted here stalls
+// wake-ups for the whole VCPU.
+void GuestKernel::sleep_on_rq(Tid t, Step on_wake) {
+  threads_[t]->frame.resume = on_wake;
+  lock_acquire(t, own_rq(t), Step::kSleepRqHold);
+}
+
+// futex_wake: syscall entry, bucket lock, a hold that grows with the number
+// woken, then the wake chain and the next op.
+void GuestKernel::futex_wake(Tid t, std::uint32_t fq, std::uint32_t n) {
+  ++stats_.futex_wakes;
+  Frame& f = threads_[t]->frame;
+  f.fq = fq;
+  f.wake_n = n;
+  burn(t, cfg_.syscall_entry, false, Step::kFutexWakeLock);
+}
+
+// Each wake takes the woken thread's runqueue lock for rq_wake_hold.
+void GuestKernel::wake_chain(Tid waker) {
+  const Thread& th = *threads_[waker];
+  if (th.frame.wake_i == th.woken.size()) {
+    next_op(waker);
+    return;
+  }
+  lock_acquire(waker, own_rq(th.woken[th.frame.wake_i]), Step::kWakeHold);
 }
 
 // --- guest scheduling -------------------------------------------------------------
@@ -423,10 +554,8 @@ void GuestKernel::schedule_vcpu(std::uint32_t v) {
     activate(t);
     return;
   }
-  if (th.wake_cont) {
-    Cont cont = std::move(th.wake_cont);
-    th.wake_cont = nullptr;
-    cont();
+  if (th.wake != Step::kNone) {
+    step(t, std::exchange(th.wake, Step::kNone));
     return;
   }
   next_op(t);
@@ -515,51 +644,44 @@ void GuestKernel::run_tick(std::uint32_t v) {
   enter_tick_irq(v);
 }
 
+// Tick handler: bookkeeping, then the timer lock (xtime_lock — a real
+// kernel spinlock shared by every VCPU of the VM, so a preempted tick
+// handler strands all of them), then every Nth tick a load-balance pass
+// that takes a *remote* runqueue lock (Linux 2.6 rebalance_tick).
 void GuestKernel::enter_tick_irq(std::uint32_t v) {
   VcpuCtx& c = vcpus_[v];
   if (c.current != kNoTid) deactivate(c.current);
   c.in_irq = true;
-  const Tid irq = c.irq_tid;
-  const Cont finish = [this, v] {
-    VcpuCtx& cc = vcpus_[v];
-    cc.in_irq = false;
-    if (cc.current != kNoTid) {
-      activate(cc.current);
-    } else if (cc.online) {
-      schedule_vcpu(v);
-    }
-    maybe_deliver_pending(v);
-  };
-  // Tick handler: bookkeeping, then the timer lock (xtime_lock — a real
-  // kernel spinlock shared by every VCPU of the VM, so a preempted tick
-  // handler strands all of them), then every Nth tick a load-balance pass
-  // that takes a *remote* runqueue lock (Linux 2.6 rebalance_tick).
-  burn(irq, cfg_.tick_overhead, true, [this, v, irq, finish] {
-    lock_acquire(irq, timer_lock_, [this, v, irq, finish](Cycles) {
-      burn(irq, cfg_.tick_lock_hold, true, [this, v, irq, finish] {
-        lock_release(irq, timer_lock_);
-        VcpuCtx& cc = vcpus_[v];
-        const bool balance = cfg_.n_vcpus > 1 &&
-                             cfg_.balance_every_ticks != 0 &&
-                             cc.ticks % cfg_.balance_every_ticks == 0;
-        if (!balance) {
-          finish();
-          return;
-        }
-        const std::uint32_t victim = static_cast<std::uint32_t>(
-            (v + 1 + cc.ticks / cfg_.balance_every_ticks) % cfg_.n_vcpus);
-        const std::uint32_t target = victim == v ? (v + 1) % cfg_.n_vcpus
-                                                 : victim;
-        const std::uint32_t rq = rq_locks_[target];
-        lock_acquire(irq, rq, [this, irq, rq, finish](Cycles) {
-          burn(irq, cfg_.balance_hold, true, [this, irq, rq, finish] {
-            lock_release(irq, rq);
-            finish();
-          });
-        });
-      });
-    });
-  });
+  burn(c.irq_tid, cfg_.tick_overhead, true, Step::kTickLock);
+}
+
+void GuestKernel::tick_release(Tid irq) {
+  lock_release(irq, timer_lock_);
+  const std::uint32_t v = threads_[irq]->vcpu;
+  const VcpuCtx& c = vcpus_[v];
+  const bool balance = cfg_.n_vcpus > 1 && cfg_.balance_every_ticks != 0 &&
+                       c.ticks % cfg_.balance_every_ticks == 0;
+  if (!balance) {
+    finish_tick(v);
+    return;
+  }
+  const std::uint32_t victim = static_cast<std::uint32_t>(
+      (v + 1 + c.ticks / cfg_.balance_every_ticks) % cfg_.n_vcpus);
+  const std::uint32_t target = victim == v ? (v + 1) % cfg_.n_vcpus : victim;
+  Frame& f = threads_[irq]->frame;
+  f.remote_rq = rq_locks_[target];
+  lock_acquire(irq, f.remote_rq, Step::kTickBalanceHold);
+}
+
+void GuestKernel::finish_tick(std::uint32_t v) {
+  VcpuCtx& c = vcpus_[v];
+  c.in_irq = false;
+  if (c.current != kNoTid) {
+    activate(c.current);
+  } else if (c.online) {
+    schedule_vcpu(v);
+  }
+  maybe_deliver_pending(v);
 }
 
 void GuestKernel::tick_wake(std::uint32_t v) {
@@ -663,7 +785,7 @@ void GuestKernel::next_op(Tid t) {
 void GuestKernel::exec_op(Tid t, const Op& op) {
   switch (op.kind) {
     case Op::Kind::kCompute:
-      burn(t, op.len, false, [this, t] { next_op(t); });
+      burn(t, op.len, false, Step::kNextOp);
       return;
     case Op::Kind::kCritical:
       op_critical(t, op.obj, op.len);
@@ -688,79 +810,52 @@ void GuestKernel::exec_op(Tid t, const Op& op) {
 
 void GuestKernel::op_sleep(Tid t, Cycles len) {
   // nanosleep-style timer wait: enter the kernel, block, and let the timer
-  // wake us after `len` of wall time.
-  burn(t, cfg_.syscall_entry, false, [this, t, len] {
-    sim_.after(len, [this, t] {
-      if (threads_[t]->state == TState::kBlocked) make_ready(t);
-    });
-    block_current(t, [this, t] { next_op(t); });
-  });
+  // wake us after `len` of wall time (kSleepTimer).
+  threads_[t]->frame.len = len;
+  burn(t, cfg_.syscall_entry, false, Step::kSleepTimer);
 }
 
 void GuestKernel::op_critical(Tid t, std::uint32_t mtx, Cycles hold) {
   // User-space fast path: one atomic attempt, then the futex slow path.
-  burn(t, Cycles{120}, false, [this, t, mtx, hold] {
-    Mutex& m = mutexes_[mtx];
-    if (!m.locked) {
-      m.locked = true;
-      burn(t, hold, false, [this, t, mtx] {
-        mutex_unlock(t, mtx, [this, t] { next_op(t); });
-      });
-      return;
-    }
-    // Contended: sleep in the kernel and retry on wake (futex loop).
-    struct Retry {
-      GuestKernel* k;
-      Tid t;
-      std::uint32_t mtx;
-      Cycles hold;
-      void operator()() const {
-        Mutex& m2 = k->mutexes_[mtx];
-        if (!m2.locked) {
-          m2.locked = true;
-          GuestKernel* kk = k;
-          Tid tt = t;
-          std::uint32_t mm = mtx;
-          kk->burn(tt, hold, false, [kk, tt, mm] {
-            kk->mutex_unlock(tt, mm, [kk, tt] { kk->next_op(tt); });
-          });
-          return;
-        }
-        k->futex_wait(t, m2.fq, Retry{*this},
-                      [k2 = k, mtx2 = mtx] { return k2->mutexes_[mtx2].locked; });
-      }
-    };
-    Retry{this, t, mtx, hold}();
-  });
+  Frame& f = threads_[t]->frame;
+  f.obj = mtx;
+  f.len = hold;
+  burn(t, Cycles{120}, false, Step::kMutexRetry);
 }
 
-void GuestKernel::mutex_unlock(Tid t, std::uint32_t mtx, Cont done) {
-  burn(t, Cycles{100}, false, [this, t, mtx, done] {
-    Mutex& m = mutexes_[mtx];
-    m.locked = false;
-    if (!futexes_[m.fq].sleepers.empty()) {
-      futex_wake(t, m.fq, 1, done);
-    } else {
-      done();
-    }
-  });
+// The atomic attempt: on success hold the mutex for the frame's `len`, then
+// unlock (kMutexUnlock); contended, sleep in the kernel and retry on wake
+// (the futex loop).
+void GuestKernel::mutex_retry(Tid t) {
+  const Frame& f = threads_[t]->frame;
+  Mutex& m = mutexes_[f.obj];
+  if (!m.locked) {
+    m.locked = true;
+    burn(t, f.len, false, Step::kMutexUnlock);
+    return;
+  }
+  futex_wait(t, m.fq, Step::kMutexRetry);
 }
 
 void GuestKernel::op_barrier(Tid t, std::uint32_t bar) {
   ++stats_.barrier_arrivals;
-  burn(t, Cycles{150}, false, [this, t, bar] {
-    Barrier& b = barriers_[bar];
-    if (++b.arrived == b.parties) {
-      b.arrived = 0;
-      ++b.generation;
-      barrier_release(t, b, [this, t] { next_op(t); });
-      return;
-    }
-    const std::uint64_t g = b.generation;
-    b.spinners.push_back(
-        Barrier::Spinner{t, g, [this, t] { next_op(t); }});
-    barrier_spin_loop(t, bar, g, Cycles{0});
-  });
+  threads_[t]->frame.obj = bar;
+  burn(t, Cycles{150}, false, Step::kBarrierArrive);
+}
+
+void GuestKernel::barrier_arrive(Tid t) {
+  Frame& f = threads_[t]->frame;
+  Barrier& b = barriers_[f.obj];
+  if (++b.arrived == b.parties) {
+    b.arrived = 0;
+    ++b.generation;
+    barrier_release(t, b);
+    return;
+  }
+  f.gen = b.generation;
+  f.spun = Cycles{0};
+  b.spinners.push_back(t);
+  barrier_spin_loop(t);
 }
 
 // Spin-then-block wait with sched_yield cadence: the waiter spins in user
@@ -768,89 +863,64 @@ void GuestKernel::op_barrier(Tid t, std::uint32_t bar) {
 // re-checks the release flag, and repeats until the spin budget is gone --
 // then it sleeps on the barrier futex. A waiter whose VCPU is preempted
 // inside a yield holds the runqueue lock across the offline span (LHP).
-void GuestKernel::barrier_spin_loop(Tid t, std::uint32_t bar,
-                                    std::uint64_t gen, Cycles spun) {
-  Barrier& b = barriers_[bar];
-  const auto drop_record = [this, t, bar] {
-    Barrier& bb = barriers_[bar];
-    auto it = std::find_if(
-        bb.spinners.begin(), bb.spinners.end(),
-        [t](const Barrier::Spinner& s) { return s.tid == t; });
-    if (it != bb.spinners.end()) bb.spinners.erase(it);
+void GuestKernel::barrier_spin_loop(Tid t) {
+  const Frame& f = threads_[t]->frame;
+  Barrier& b = barriers_[f.obj];
+  const auto drop_record = [&b, t] {
+    auto it = std::find(b.spinners.begin(), b.spinners.end(), t);
+    if (it != b.spinners.end()) b.spinners.erase(it);
   };
-  if (b.generation != gen) {
+  if (b.generation != f.gen) {
     // Released while we were inside the kernel part of the loop; the
     // releaser could not repurpose our spin burn then, so we exit here.
     drop_record();
-    burn(t, Cycles{150}, false, [this, t] { next_op(t); });
+    burn(t, Cycles{150}, false, Step::kNextOp);
     return;
   }
-  if (!b.spin_only && spun >= cfg_.user_spin_limit) {
+  if (!b.spin_only && f.spun >= cfg_.user_spin_limit) {
     drop_record();
     ++stats_.barrier_kernel_sleeps;
-    futex_wait(t, b.fq, [this, t] { next_op(t); },
-               [this, bar, gen] { return barriers_[bar].generation == gen; });
+    futex_wait(t, b.fq, Step::kNextOp);
     return;
   }
-  burn(t, cfg_.spin_yield_period, false, [this, t, bar, gen, spun] {
-    if (barriers_[bar].generation != gen) {
-      barrier_spin_loop(t, bar, gen, spun);  // takes the released path
-      return;
-    }
-    // sched_yield: kernel entry + own runqueue lock, and (with an empty
-    // local runqueue) an idle_balance probe of a remote runqueue lock.
-    const std::uint32_t self_v = threads_[t]->vcpu;
-    const std::uint32_t rq = rq_locks_[self_v];
-    const std::uint64_t yield_no = spun.v / cfg_.spin_yield_period.v;
-    const bool probe_remote =
-        cfg_.n_vcpus > 1 && cfg_.yield_balance_every != 0 &&
-        yield_no % cfg_.yield_balance_every == 0;
-    std::uint32_t remote_rq = rq;
-    if (probe_remote) {
-      const std::uint32_t target = static_cast<std::uint32_t>(
-          (self_v + 1 + yield_no / cfg_.yield_balance_every) % cfg_.n_vcpus);
-      remote_rq = rq_locks_[target == self_v ? (self_v + 1) % cfg_.n_vcpus
-                                             : target];
-    }
-    const Cont continue_spin = [this, t, bar, gen, spun] {
-      barrier_spin_loop(t, bar, gen, spun + cfg_.spin_yield_period);
-    };
-    hv_.vcpu_yield_hint(vm_id_, threads_[t]->vcpu);
-    burn(t, cfg_.syscall_entry, false,
-         [this, t, rq, remote_rq, probe_remote, continue_spin] {
-      lock_acquire(t, rq, [this, t, rq, remote_rq, probe_remote,
-                           continue_spin](Cycles) {
-        burn(t, cfg_.yield_hold, true, [this, t, rq, remote_rq, probe_remote,
-                                        continue_spin] {
-          lock_release(t, rq);
-          if (!probe_remote || remote_rq == rq) {
-            yield_cpu(t, continue_spin);
-            return;
-          }
-          lock_acquire(t, remote_rq,
-                       [this, t, remote_rq, continue_spin](Cycles) {
-            burn(t, cfg_.balance_hold, true, [this, t, remote_rq,
-                                              continue_spin] {
-              lock_release(t, remote_rq);
-              yield_cpu(t, continue_spin);
-            });
-          });
-        });
-      });
-    });
-  });
+  burn(t, cfg_.spin_yield_period, false, Step::kSpinChunk);
 }
 
-void GuestKernel::yield_cpu(Tid t, Cont resume) {
+// End of a user spin chunk: released meanwhile, or sched_yield — kernel
+// entry + own runqueue lock, and (with an empty local runqueue) an
+// idle_balance probe of a remote runqueue lock every Nth yield.
+void GuestKernel::spin_yield(Tid t) {
+  Frame& f = threads_[t]->frame;
+  if (barriers_[f.obj].generation != f.gen) {
+    barrier_spin_loop(t);  // takes the released path
+    return;
+  }
+  const std::uint32_t self_v = threads_[t]->vcpu;
+  const std::uint64_t yield_no = f.spun.v / cfg_.spin_yield_period.v;
+  const bool probe_remote = cfg_.n_vcpus > 1 &&
+                            cfg_.yield_balance_every != 0 &&
+                            yield_no % cfg_.yield_balance_every == 0;
+  f.remote_rq = rq_locks_[self_v];  // no probe: the own lock
+  if (probe_remote) {
+    const std::uint32_t target = static_cast<std::uint32_t>(
+        (self_v + 1 + yield_no / cfg_.yield_balance_every) % cfg_.n_vcpus);
+    f.remote_rq = rq_locks_[target == self_v ? (self_v + 1) % cfg_.n_vcpus
+                                             : target];
+  }
+  hv_.vcpu_yield_hint(vm_id_, self_v);
+  burn(t, cfg_.syscall_entry, false, Step::kYieldLock);
+}
+
+void GuestKernel::yield_cpu(Tid t, Step resume) {
   Thread& th = *threads_[t];
   VcpuCtx& c = vcpus_[th.vcpu];
   assert(c.current == t && th.act.kind == ActKind::kNone);
   if (c.runq.empty()) {
-    resume();  // nothing else to run: yield is a no-op
+    step(t, resume);  // nothing else to run: yield is a no-op
     return;
   }
   th.state = TState::kReady;
-  th.wake_cont = std::move(resume);
+  th.wake = resume;
   c.runq.push_back(t);
   c.current = kNoTid;
   if (c.quantum_ev.valid()) {
@@ -860,97 +930,81 @@ void GuestKernel::yield_cpu(Tid t, Cont resume) {
   if (c.online) schedule_vcpu(th.vcpu);
 }
 
-void GuestKernel::barrier_release(Tid t, Barrier& b, Cont done) {
+void GuestKernel::barrier_release(Tid t, Barrier& b) {
   // Wake user-level spinners: those inside their user-space spin chunk
   // observe the flag immediately (their burn is repurposed); those inside
-  // the kernel part of the yield notice at the next loop check.
-  std::vector<Barrier::Spinner> leftover;
-  std::vector<Barrier::Spinner> spinners;
-  spinners.swap(b.spinners);
-  for (auto& s : spinners) {
-    Thread& th = *threads_[s.tid];
-    if (th.act.kind == ActKind::kBurn && !th.act.kernel) {
-      repurpose_burn(s.tid, Cycles{120}, std::move(s.resume));
+  // the kernel part of the yield notice at the next loop check, so they
+  // keep their records until their own generation check removes them (they
+  // may also time out into futex_wait, whose re-check then lets them
+  // through).
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < b.spinners.size(); ++i) {
+    const Tid s = b.spinners[i];
+    const Activity& a = threads_[s]->act;
+    if (a.kind == ActKind::kBurn && !a.kernel) {
+      repurpose_burn(s, Cycles{120}, Step::kNextOp);
     } else {
-      leftover.push_back(std::move(s));
+      b.spinners[kept++] = s;
     }
   }
-  // Threads mid-yield keep their records until their own generation check
-  // removes them (they may also time out into futex_wait, whose
-  // still_needed re-check fails and lets them through).
-  b.spinners = std::move(leftover);
+  b.spinners.resize(kept);
   if (!futexes_[b.fq].sleepers.empty()) {
-    futex_wake(t, b.fq, static_cast<std::uint32_t>(-1), std::move(done));
+    futex_wake(t, b.fq, static_cast<std::uint32_t>(-1));
   } else {
-    burn(t, Cycles{100}, false, std::move(done));
+    burn(t, Cycles{100}, false, Step::kNextOp);
   }
 }
 
 void GuestKernel::op_sem_wait(Tid t, std::uint32_t s) {
-  burn(t, cfg_.syscall_entry, false, [this, t, s] {
-    Semaphore& sem = semaphores_[s];
-    lock_acquire(t, futexes_[sem.fq].bucket_lock,
-                 [this, t, s](Cycles lock_wait) {
-      burn(t, Cycles{300}, true, [this, t, s, lock_wait] {
-        Semaphore& sem2 = semaphores_[s];
-        FutexQ& q = futexes_[sem2.fq];
-        // The reported semaphore waiting time is the CPU consumed by the
-        // down() path itself: a blocked sleeper releases its VCPU so the
-        // sleep span is not CPU waiting, and a contended *spinlock* stall
-        // inside the path is attributed to the spinlock histogram, not to
-        // the semaphore (this is why the paper finds blocking primitives
-        // virtualization-tolerant; see DESIGN.md).
-        Cycles path = cfg_.syscall_entry + Cycles{300};
-        path += lock_wait < Cycles{2'000} ? lock_wait : Cycles{2'000};
-        stats_.sem_waits.add(path);
-        if (sem2.count > 0) {
-          --sem2.count;
-          lock_release(t, q.bucket_lock);
-          burn(t, Cycles{150}, false, [this, t] { next_op(t); });
-          return;
-        }
-        q.sleepers.push_back(t);
-        lock_release(t, q.bucket_lock);
-        const std::uint32_t rq = rq_locks_[threads_[t]->vcpu];
-        lock_acquire(t, rq, [this, t, rq](Cycles) {
-          burn(t, cfg_.rq_wake_hold, true, [this, t, rq] {
-            lock_release(t, rq);
-            block_current(t, [this, t] { next_op(t); });
-          });
-        });
-      });
-    });
-  });
+  threads_[t]->frame.obj = s;
+  burn(t, cfg_.syscall_entry, false, Step::kSemWaitLock);
+}
+
+void GuestKernel::sem_wait_check(Tid t) {
+  const Frame& f = threads_[t]->frame;
+  Semaphore& sem = semaphores_[f.obj];
+  FutexQ& q = futexes_[sem.fq];
+  // The reported semaphore waiting time is the CPU consumed by the down()
+  // path itself: a blocked sleeper releases its VCPU so the sleep span is
+  // not CPU waiting, and a contended *spinlock* stall inside the path is
+  // attributed to the spinlock histogram, not to the semaphore (this is why
+  // the paper finds blocking primitives virtualization-tolerant; see
+  // DESIGN.md).
+  Cycles path = cfg_.syscall_entry + Cycles{300};
+  path += f.lock_wait < Cycles{2'000} ? f.lock_wait : Cycles{2'000};
+  stats_.sem_waits.add(path);
+  if (sem.count > 0) {
+    --sem.count;
+    lock_release(t, q.bucket_lock);
+    burn(t, Cycles{150}, false, Step::kNextOp);
+    return;
+  }
+  q.sleepers.push_back(t);
+  lock_release(t, q.bucket_lock);
+  sleep_on_rq(t, Step::kNextOp);
 }
 
 void GuestKernel::op_sem_post(Tid t, std::uint32_t s) {
-  burn(t, cfg_.syscall_entry, false, [this, t, s] {
-    Semaphore& sem = semaphores_[s];
-    lock_acquire(t, futexes_[sem.fq].bucket_lock, [this, t, s](Cycles) {
-      burn(t, Cycles{300}, true, [this, t, s] {
-        Semaphore& sem2 = semaphores_[s];
-        FutexQ& q = futexes_[sem2.fq];
-        if (!q.sleepers.empty()) {
-          const Tid w = q.sleepers.front();
-          q.sleepers.erase(q.sleepers.begin());
-          lock_release(t, q.bucket_lock);
-          // Direct handoff: the count stays zero and the sleeper proceeds.
-          lock_acquire(t, rq_locks_[threads_[w]->vcpu],
-                       [this, t, w](Cycles) {
-            burn(t, cfg_.rq_wake_hold, true, [this, t, w] {
-              lock_release(t, rq_locks_[threads_[w]->vcpu]);
-              make_ready(w);
-              next_op(t);
-            });
-          });
-          return;
-        }
-        ++sem2.count;
-        lock_release(t, q.bucket_lock);
-        next_op(t);
-      });
-    });
-  });
+  threads_[t]->frame.obj = s;
+  burn(t, cfg_.syscall_entry, false, Step::kSemPostLock);
+}
+
+void GuestKernel::sem_post_check(Tid t) {
+  Thread& th = *threads_[t];
+  Semaphore& sem = semaphores_[th.frame.obj];
+  FutexQ& q = futexes_[sem.fq];
+  if (!q.sleepers.empty()) {
+    // Direct handoff: the count stays zero and the sleeper proceeds.
+    th.woken.assign(1, q.sleepers.front());
+    th.frame.wake_i = 0;
+    q.sleepers.erase(q.sleepers.begin());
+    lock_release(t, q.bucket_lock);
+    wake_chain(t);
+    return;
+  }
+  ++sem.count;
+  lock_release(t, q.bucket_lock);
+  next_op(t);
 }
 
 void GuestKernel::retire(Tid t) {

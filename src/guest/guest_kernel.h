@@ -22,15 +22,21 @@
 // Execution model: the kernel is driven entirely by simulator events and
 // the VMM's online/offline callbacks. Each thread has at most one live
 // "activity" (a timed burn or a spinlock spin); activities only progress
-// while their VCPU is online. Continuations (std::function) sequence
-// multi-step kernel paths such as futex wake chains.
+// while their VCPU is online. A multi-step kernel path (a futex wake
+// chain, a sched_yield inside the barrier spin loop, a tick handler) is a
+// sequence of Steps: each burn or spinlock acquisition names the Step that
+// runs when it completes, a blocked or yielding thread names the Step that
+// runs when it is scheduled again, and one switch (step()) dispatches
+// them. The operands a path carries between its steps live in the
+// thread's POD Frame, so no kernel path allocates: every callback handed to
+// the simulator captures only `this` and a thread or VCPU index.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "guest/observer.h"
@@ -145,15 +151,54 @@ class GuestKernel final : public vmm::GuestPort {
 
  private:
   // --- execution engine -----------------------------------------------------
+  /// Every continuation point of every kernel path; step() dispatches them.
+  enum class Step : std::uint8_t {
+    kNone,
+    // Resume points: where a path goes on after a wake, a yield or a
+    // barrier release — the next op, the mutex's futex loop, or the next
+    // round of the barrier spin loop.
+    kNextOp, kMutexRetry, kContinueSpin,
+    kMutexUnlock, kMutexWakeCheck,
+    // futex_wait, then the sleep behind the own runqueue lock
+    kFutexWaitLock, kFutexWaitEnqueue, kFutexWaitCheck, kSleepRqHold,
+    kSleepBlock,
+    // futex_wake and its wake chain
+    kFutexWakeLock, kFutexWakeHold, kFutexWakeTake, kWakeHold, kWakeDone,
+    // barrier arrival and the spin-then-yield loop
+    kBarrierArrive, kSpinChunk, kYieldLock, kYieldHold, kYieldRelease,
+    kProbeHold, kProbeRelease,
+    kSemWaitLock, kSemWaitHold, kSemWaitCheck,
+    kSemPostLock, kSemPostHold, kSemPostCheck,
+    kSleepTimer,  // nanosleep
+    // timer tick, run by the VCPU's IRQ pseudo-thread
+    kTickLock, kTickHold, kTickRelease, kTickBalanceHold, kTickBalanceRelease,
+  };
+
+  /// Operands of a thread's current kernel path, set when the path starts
+  /// and read by its later steps.
+  struct Frame {
+    Step resume{Step::kNone};    // futex_wait / rq sleep: run on wake-up
+    std::uint32_t obj{0};        // mutex, barrier or semaphore index
+    std::uint32_t fq{0};         // futex queue
+    std::uint32_t remote_rq{0};  // spin yield / tick: the probed rq lock
+    std::uint32_t wake_n{0};     // futex_wake: wake at most, then taken
+    std::uint32_t wake_i{0};     // wake chain cursor into Thread::woken
+    std::uint64_t gen{0};        // barrier generation waited for
+    Cycles spun{};               // barrier: user spin so far
+    Cycles len{};                // critical-section hold / sleep length
+    Cycles lock_wait{};          // wait of the latest spinlock acquisition
+  };
+  static_assert(std::is_trivially_copyable_v<Frame>);
+
   enum class ActKind : std::uint8_t { kNone, kBurn, kSpin };
   struct Activity {
     ActKind kind{ActKind::kNone};
     bool kernel{false};  // interrupts masked (no tick) while true
     Cycles remaining{};
     Cycles started_at{};
-    std::uint32_t lock{0};  // valid for kSpin
-    Cont done;              // burn completion continuation
-    sim::EventId ev{};      // live completion event (burn, while executing)
+    std::uint32_t lock{0};    // valid for kSpin
+    Step then{Step::kNone};   // runs when the burn ends / the lock is held
+    sim::EventId ev{};        // live completion event (burn, while executing)
   };
 
   enum class TState : std::uint8_t { kReady, kCurrent, kBlocked, kDone, kIrq };
@@ -163,7 +208,9 @@ class GuestKernel final : public vmm::GuestPort {
     std::unique_ptr<ThreadProgram> prog;  // null for IRQ pseudo-threads
     TState state{TState::kReady};
     Activity act;
-    Cont wake_cont;  // continuation to run when a blocked thread wakes
+    Step wake{Step::kNone};  // runs when a blocked/yielded thread is picked
+    Frame frame;
+    std::vector<Tid> woken;  // futex_wake's wake chain (capacity reused)
     Cycles finish_time{};
   };
 
@@ -191,10 +238,8 @@ class GuestKernel final : public vmm::GuestPort {
     bool reported{false};       // over-threshold already reported
     bool report_pending{false}; // crossed while offline; report on online
     sim::EventId cross_ev{};
-    std::function<void(Cycles)> acquired;  // waited -> continue
   };
   struct SpinLock {
-    std::string name;
     Tid owner{kNoTid};
     std::vector<SpinWaiter> waiters;
   };
@@ -212,12 +257,7 @@ class GuestKernel final : public vmm::GuestPort {
     std::uint64_t generation{0};
     std::uint32_t fq{0};
     bool spin_only{false};
-    struct Spinner {
-      Tid tid{kNoTid};
-      std::uint64_t gen{0};
-      Cont resume;
-    };
-    std::vector<Spinner> spinners;
+    std::vector<Tid> spinners;  // user-level spinners of this generation
   };
   struct Semaphore {
     std::int32_t count{0};
@@ -229,27 +269,35 @@ class GuestKernel final : public vmm::GuestPort {
   Tid executing_on(std::uint32_t v) const;
   void activate(Tid t);
   void deactivate(Tid t);
-  void burn(Tid t, Cycles len, bool kernel, Cont done);
+  void burn(Tid t, Cycles len, bool kernel, Step then);
   void burn_complete(Tid t);
-  /// Cancel a thread's pending burn (barrier satisfy path); the thread must
-  /// be in a kBurn activity. Its `done` is replaced by `instead`.
-  void repurpose_burn(Tid t, Cycles extra, Cont instead);
+  /// Cancel a thread's pending burn (barrier release path); the thread must
+  /// be in a kBurn activity. Its `then` is replaced by `instead`.
+  void repurpose_burn(Tid t, Cycles extra, Step instead);
+  /// Run step `s` of thread `t`'s current kernel path.
+  void step(Tid t, Step s);
 
   // spinlocks
-  std::uint32_t create_spinlock(std::string name);
-  void lock_acquire(Tid t, std::uint32_t lock,
-                    std::function<void(Cycles)> acquired);
+  std::uint32_t create_spinlock();
+  void lock_acquire(Tid t, std::uint32_t lock, Step then);
   void lock_release(Tid t, std::uint32_t lock);
   void grant_to_waiter(std::uint32_t lock, std::size_t waiter_index);
   void spin_cross_check(std::uint32_t lock, Tid t);
   void record_spin_wait(Cycles waited);
+  std::uint32_t own_rq(Tid t) const { return rq_locks_[threads_[t]->vcpu]; }
 
   // futex / sleep-wake
-  void futex_wait(Tid t, std::uint32_t fq, Cont on_wake,
-                  const std::function<bool()>& still_needed);
-  void futex_wake(Tid t, std::uint32_t fq, std::uint32_t n, Cont done);
-  void wake_chain(Tid waker, std::vector<Tid> woken, std::size_t i, Cont done);
-  void block_current(Tid t, Cont on_wake);
+  /// Sleep on futex queue `fq` unless the condition `on_wake` waits for
+  /// changed meanwhile (kMutexRetry: the mutex is still locked; kNextOp:
+  /// the barrier generation in the frame is still current).
+  void futex_wait(Tid t, std::uint32_t fq, Step on_wake);
+  void futex_wait_check(Tid t);
+  void futex_wake(Tid t, std::uint32_t fq, std::uint32_t n);
+  /// Wake Thread::woken from the frame's cursor on, then run the next op.
+  void wake_chain(Tid waker);
+  /// Take the own runqueue lock, then block until woken into `on_wake`.
+  void sleep_on_rq(Tid t, Step on_wake);
+  void block_current(Tid t, Step on_wake);
   void make_ready(Tid t);
 
   // scheduling inside the guest
@@ -259,6 +307,8 @@ class GuestKernel final : public vmm::GuestPort {
   void arm_tick(std::uint32_t v);
   void run_tick(std::uint32_t v);
   void enter_tick_irq(std::uint32_t v);
+  void tick_release(Tid irq);
+  void finish_tick(std::uint32_t v);
   void tick_wake(std::uint32_t v);
   void maybe_deliver_pending(std::uint32_t v);
   void idle_check(std::uint32_t v);
@@ -267,16 +317,19 @@ class GuestKernel final : public vmm::GuestPort {
   void next_op(Tid t);
   void exec_op(Tid t, const Op& op);
   void op_critical(Tid t, std::uint32_t mtx, Cycles hold);
-  void mutex_unlock(Tid t, std::uint32_t mtx, Cont done);
+  void mutex_retry(Tid t);
   void op_barrier(Tid t, std::uint32_t bar);
-  void barrier_spin_loop(Tid t, std::uint32_t bar, std::uint64_t gen,
-                         Cycles spun);
+  void barrier_arrive(Tid t);
+  void barrier_spin_loop(Tid t);
+  void spin_yield(Tid t);
   /// sched_yield semantics: rotate to the next ready thread on this VCPU
   /// (if any) and continue with `resume` when scheduled again.
-  void yield_cpu(Tid t, Cont resume);
-  void barrier_release(Tid t, Barrier& b, Cont done);
+  void yield_cpu(Tid t, Step resume);
+  void barrier_release(Tid t, Barrier& b);
   void op_sem_wait(Tid t, std::uint32_t s);
+  void sem_wait_check(Tid t);
   void op_sem_post(Tid t, std::uint32_t s);
+  void sem_post_check(Tid t);
   void op_sleep(Tid t, Cycles len);
   void retire(Tid t);
 

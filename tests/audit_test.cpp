@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/schedulers.h"
 #include "experiments/scenario.h"
 #include "hw/memsys/footprint.h"
@@ -117,6 +121,17 @@ TEST(Auditor, DetectsVcpuDuplicatedAcrossRunQueues) {
   r.hv.mutable_runqueue(other).push(dup);
   r.auditor.check_now();
   EXPECT_GE(violations(r.auditor, Invariant::kQueuePartition), 1u);
+  // Beyond the stray entry's wrong `where`, the per-VCPU reference count
+  // must see both queues holding the one record.
+  std::vector<Violation> out;
+  check_queue_partition(r.hv, out);
+  const std::string want = "v" + std::to_string(dup->key.vm) + "." +
+                           std::to_string(dup->key.idx) +
+                           " runnable but queued on 2 queue(s), current on 0 "
+                           "PCPU(s)";
+  EXPECT_NE(std::find_if(out.begin(), out.end(),
+                         [&want](const Violation& v) { return v.what == want; }),
+            out.end());
 }
 
 TEST(Auditor, DetectsOrphanedRunnableVcpu) {
