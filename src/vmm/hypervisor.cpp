@@ -439,7 +439,8 @@ PcpuId Hypervisor::pick_online_home(VmId vm_for_collision,
 }
 
 bool Hypervisor::gang_homes_collide(const Vm& v) const {
-  std::vector<bool> used(machine_.num_pcpus, false);
+  std::vector<bool>& used = pcpu_claimed_;
+  used.assign(machine_.num_pcpus, false);
   for (const Vcpu& c : v.vcpus) {
     if (!pcpus_[c.where].online || used[c.where]) return true;
     used[c.where] = true;
@@ -643,12 +644,13 @@ void Hypervisor::do_accounting() {
   // include every VM's weight, so there the full set is used.
   const Cycles min_active{machine_.accounting_cycles().v / 100};
   std::uint64_t total_weight = 0;
-  std::vector<bool> active(vms_.size(), true);
+  std::vector<bool>& active = acct_active_;
+  active.assign(vms_.size(), true);
   // Jain fairness inputs for the period just closing: weighted consumption
   // of every VM that wanted or got CPU (an idle VM is not a fairness
   // participant; a starved runnable one very much is).
-  std::vector<double> shares;
-  shares.reserve(vms_.size());
+  std::vector<double>& shares = acct_shares_;
+  shares.clear();
   for (std::size_t i = 0; i < vms_.size(); ++i) {
     Vm& v = *vms_[i];
     if (!v.alive) {  // tombstone: earns nothing, holds nothing
@@ -1349,7 +1351,8 @@ void Hypervisor::relocate_vm(Vm& v) {
     audit_relocated(v.id);
     return;
   }
-  std::vector<bool> claimed(machine_.num_pcpus, false);
+  std::vector<bool>& claimed = pcpu_claimed_;
+  claimed.assign(machine_.num_pcpus, false);
   // Running VCPUs pin their PCPU.
   for (const Vcpu& c : v.vcpus)
     if (c.state == VcpuState::kRunning) claimed[c.where] = true;
@@ -1393,7 +1396,8 @@ void Hypervisor::relocate_vm_topo(Vm& v) {
   // the greedily-minimal socket set, so a HIGH-VCRD gang packs within a
   // socket when it fits instead of spreading across the machine.
   const std::vector<bool> allowed = gang_socket_set(v);
-  std::vector<bool> claimed(machine_.num_pcpus, false);
+  std::vector<bool>& claimed = pcpu_claimed_;
+  claimed.assign(machine_.num_pcpus, false);
   for (const Vcpu& c : v.vcpus)
     if (c.state == VcpuState::kRunning) claimed[c.where] = true;
   for (Vcpu& c : v.vcpus) {

@@ -858,6 +858,14 @@ class Hypervisor : public HypervisorPort {
   double fairness_min_{1.0};
   double fairness_sum_{0.0};
   std::uint64_t fairness_periods_{0};
+
+  // Scratch reused across calls (cleared, never shrunk) so the accounting
+  // period and gang placement checks do not allocate on every call.
+  std::vector<bool> acct_active_;    // do_accounting: VM earns this period
+  std::vector<double> acct_shares_;  // do_accounting: Jain fairness inputs
+  /// PCPUs taken by a gang's members: gang_homes_collide, relocate_vm and
+  /// relocate_vm_topo (none of which runs inside another).
+  mutable std::vector<bool> pcpu_claimed_;
 };
 
 /// The stock Xen Credit scheduler: proportional share, load balancing, no

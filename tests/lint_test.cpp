@@ -73,6 +73,24 @@ TEST(LintCli, RejectsUnknownCheck) {
   EXPECT_NE(r.output.find("unknown check"), std::string::npos);
 }
 
+TEST(LintCli, RejectsMalformedMaxAllows) {
+  for (const char* bad : {"3x", "-1", "abc", "99999999999", "+3", "''"}) {
+    const LintRun r = run_lint(std::string("--max-allows ") + bad + " " +
+                               fixture("fixture_clean.cpp"));
+    EXPECT_EQ(r.exit_code, 2) << bad << "\n" << r.output;
+    EXPECT_NE(r.output.find("--max-allows needs a non-negative integer"),
+              std::string::npos)
+        << bad << "\n" << r.output;
+  }
+}
+
+// One engine: --engine is an unknown flag, so it prints usage and exits 2.
+TEST(LintCli, RejectsEngineFlag) {
+  const LintRun r = run_lint("--engine ast " + fixture("fixture_clean.cpp"));
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
+}
+
 TEST(LintDeterminism, FixtureFiresOnEveryPlantedViolation) {
   const LintRun r = run_lint(fixture("fixture_determinism.cpp"));
   EXPECT_EQ(r.exit_code, 1) << r.output;

@@ -1,7 +1,6 @@
 // Structural analysis over the token stream: enclosing-function index and
-// statement extraction. This is the portable engine's stand-in for an AST —
-// precise enough for the project's own disciplines, with the clang engine
-// (when built) providing full semantic confirmation in CI.
+// statement extraction. This is asman-lint's stand-in for an AST — precise
+// enough for the project's own disciplines.
 #pragma once
 
 #include <cstddef>

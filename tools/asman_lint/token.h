@@ -1,12 +1,10 @@
 // Token model for asman-lint's dependency-free C++ scanner.
 //
-// The portable engine does not build a real AST: it lexes each file into a
+// asman-lint does not build a real AST: it lexes each file into a
 // token stream (comments and preprocessor lines stripped, string/char
 // literals collapsed, `asman-lint: allow(...)` pragmas harvested) and runs
 // the project-discipline checks as structural patterns over that stream.
-// This keeps the tool buildable with nothing but the C++ toolchain; the
-// optional clang engine (engine_clang.cpp, -DASMAN_LINT_CLANG=ON) reuses
-// the same finding/report model with full semantic types.
+// This keeps the tool buildable with nothing but the C++ toolchain.
 #pragma once
 
 #include <string>

@@ -73,8 +73,7 @@ fi
 
 STATUS=0
 
-# Pass 1: asman-lint tree scan (portable engine; the clang AST engine runs
-# in the dedicated lint-static CI lane where pinned LLVM is installed).
+# Pass 1: asman-lint tree scan.
 ASMAN_LINT="$BUILD_DIR/tools/asman_lint/asman_lint"
 if [ -x "$ASMAN_LINT" ]; then
   LINT_ARGS=(--root . -p "$BUILD_DIR")
@@ -110,13 +109,11 @@ fi
 # files not yet committed (e.g. a freshly added src/vmm TU) so pre-commit
 # runs lint what is about to land, not just what already did. asman-lint's
 # fixtures are excluded (they plant violations on purpose and are never
-# compiled), as is engine_clang.cpp (only in the database when the clang
-# AST engine was configured in).
+# compiled).
 mapfile -t FILES < <(git ls-files --cached --others --exclude-standard \
                                   'src/*.cpp' 'tests/*.cpp' 'bench/*.cpp' \
                                   'examples/*.cpp' 'tools/asman_lint/*.cpp' \
                                   ':!tools/asman_lint/fixtures/*' \
-                                  ':!tools/asman_lint/engine_clang.cpp' \
                                   | sort -u)
 
 echo "lint.sh: $TIDY over ${#FILES[@]} files (database: $BUILD_DIR)" >&2
