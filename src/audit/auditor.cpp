@@ -115,9 +115,9 @@ void Auditor::check_now() {
   report_.entry(Invariant::kCreditBounds).checks +=
       check_credit_bounds(hv_, found);
   report_.entry(Invariant::kQueuePartition).checks +=
-      check_queue_partition(hv_, found);
+      check_queue_partition(hv_, scratch_, found);
   report_.entry(Invariant::kGangCoherence).checks +=
-      check_gang_coherence(hv_, found);
+      check_gang_coherence(hv_, scratch_, found);
   report_.entry(Invariant::kCycleConservation).checks +=
       check_cycle_conservation(hv_, found);
   report_.entry(Invariant::kPressureConservation).checks +=
@@ -259,7 +259,7 @@ void Auditor::on_relocated(vmm::VmId id) {
   // checker runs here for the relocated VM and nowhere in the full scans.
   std::vector<Violation> found;
   report_.entry(Invariant::kTopologyPlacement).checks +=
-      check_topology_placement(hv_, id, found);
+      check_topology_placement(hv_, id, scratch_, found);
   for (Violation& viol : found) flag(viol.kind, std::move(viol.what));
 }
 

@@ -11,8 +11,10 @@
 // violation prints the report and aborts, pinning the offending event in
 // a debugger or core dump.
 //
-// The whole subsystem is compiled out with -DASMAN_AUDIT=OFF: the library
-// is not built and the hypervisor's notification hooks become no-ops.
+// Every build compiles the auditor in; whether a run is audited is decided
+// at run time (Scenario::audit, ClusterScenario::audit, ASMAN_AUDIT). An
+// unaudited run installs no sink, and each hypervisor hook is then one null
+// test.
 #pragma once
 
 #include <cstdint>
@@ -85,6 +87,7 @@ class Auditor final : public vmm::AuditSink {
   AuditorConfig cfg_;
   std::function<sim::Cycles()> clock_;
   AuditReport report_;
+  ScanScratch scratch_;
   std::uint64_t scan_counter_{0};
   sim::Cycles last_time_{0};
   bool saw_time_{false};

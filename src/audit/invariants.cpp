@@ -64,20 +64,20 @@ std::uint64_t check_credit_bounds(const vmm::Hypervisor& hv,
 }
 
 std::uint64_t check_queue_partition(const vmm::Hypervisor& hv,
+                                    ScanScratch& scratch,
                                     std::vector<Violation>& out) {
   const auto& machine = hv.machine();
   std::uint64_t checks = 0;
   // How often each VCPU record is referenced by a queue / a PCPU's current,
   // in one flat array: VM `id`'s VCPU `i` is refs[first[id] + i]. A queued
   // pointer that is no VM's record is counted nowhere.
-  struct Refs {
-    int queued{0};
-    int running{0};
-  };
-  std::vector<std::size_t> first(hv.num_vms() + 1, 0);
+  using Refs = ScanScratch::Refs;
+  std::vector<std::size_t>& first = scratch.first;
+  first.assign(hv.num_vms() + 1, 0);
   for (vmm::VmId id = 0; id < hv.num_vms(); ++id)
     first[id + 1] = first[id] + hv.vm(id).vcpus.size();
-  std::vector<Refs> refs(first.back());
+  std::vector<Refs>& refs = scratch.refs;
+  refs.assign(first.back(), Refs{});
   Refs none;
   const auto refs_of = [&](const vmm::Vcpu* v) -> Refs& {
     const vmm::VcpuKey k = v->key;
@@ -162,6 +162,7 @@ std::uint64_t check_queue_partition(const vmm::Hypervisor& hv,
 }
 
 std::uint64_t check_gang_coherence(const vmm::Hypervisor& hv,
+                                   ScanScratch& scratch,
                                    std::vector<Violation>& out) {
   const std::uint32_t num_pcpus = hv.machine().num_pcpus;
   std::uint64_t checks = 0;
@@ -171,7 +172,8 @@ std::uint64_t check_gang_coherence(const vmm::Hypervisor& hv,
     // when a VM has more VCPUs than the machine has PCPUs).
     if (!hv.gang_scheduled(id) || v.num_vcpus() > num_pcpus) continue;
     ++checks;
-    std::vector<const vmm::Vcpu*> holder(num_pcpus, nullptr);
+    std::vector<const vmm::Vcpu*>& holder = scratch.holder;
+    holder.assign(num_pcpus, nullptr);
     for (const vmm::Vcpu& c : v.vcpus) {
       const vmm::Vcpu*& h = holder[c.where];
       if (h != nullptr)
@@ -277,7 +279,7 @@ std::uint64_t check_pressure_conservation(const vmm::Hypervisor& hv,
 }
 
 std::uint64_t check_topology_placement(const vmm::Hypervisor& hv,
-                                       vmm::VmId id,
+                                       vmm::VmId id, ScanScratch& scratch,
                                        std::vector<Violation>& out) {
   // Vacuous unless topology-aware placement is live and the gang both
   // wants coscheduling and fits the online PCPUs (relocate_vm gives up
@@ -290,7 +292,8 @@ std::uint64_t check_topology_placement(const vmm::Hypervisor& hv,
   // (gang_socket_set, via placement_spans_excess_sockets), so the checker
   // flags exactly the placements relocate_vm_topo would never produce.
   if (hv.placement_spans_excess_sockets(id)) {
-    std::vector<bool> used(hv.topology().num_sockets(), false);
+    std::vector<bool>& used = scratch.used;
+    used.assign(hv.topology().num_sockets(), false);
     std::uint32_t spanned = 0;
     for (const vmm::Vcpu& c : v.vcpus) {
       const std::uint32_t s = hv.topology().socket_of(c.where);

@@ -17,6 +17,7 @@
 
 namespace asman::vmm {
 class Hypervisor;
+struct Vcpu;
 }
 
 namespace asman::audit {
@@ -82,19 +83,35 @@ struct Violation {
   std::string what;
 };
 
+/// Working storage the full-state scans reuse from scan to scan, so an
+/// auditor scanning at stride 1 stops allocating once the buffers fit the
+/// machine. Each scan resets what it uses; nothing carries between scans.
+struct ScanScratch {
+  struct Refs {
+    int queued{0};
+    int running{0};
+  };
+  std::vector<std::size_t> first;        // queue partition: VM -> refs base
+  std::vector<Refs> refs;                // queue partition: per-VCPU counts
+  std::vector<const vmm::Vcpu*> holder;  // gang coherence: PCPU -> member
+  std::vector<bool> used;                // topology placement: socket seen
+};
+
 // Full-state scans. Each appends violations to `out` and returns the
 // number of individual checks it performed (for coverage accounting).
 std::uint64_t check_credit_bounds(const vmm::Hypervisor& hv,
                                   std::vector<Violation>& out);
 std::uint64_t check_queue_partition(const vmm::Hypervisor& hv,
+                                    ScanScratch& scratch,
                                     std::vector<Violation>& out);
 std::uint64_t check_gang_coherence(const vmm::Hypervisor& hv,
+                                   ScanScratch& scratch,
                                    std::vector<Violation>& out);
 // Event-scoped: meaningful only at relocation instants (the auditor calls
 // it from on_relocated for the relocated VM, and over all VMs in the
 // post-relocation full scan a seeded test drives directly).
 std::uint64_t check_topology_placement(const vmm::Hypervisor& hv,
-                                       vmm::VmId vm,
+                                       vmm::VmId vm, ScanScratch& scratch,
                                        std::vector<Violation>& out);
 std::uint64_t check_cycle_conservation(const vmm::Hypervisor& hv,
                                        std::vector<Violation>& out);

@@ -39,10 +39,8 @@
 #include "simcore/simulator.h"
 #include "vmm/hypervisor.h"
 
-#ifdef ASMAN_AUDIT_ENABLED
 #include "audit/auditor.h"
 #include "audit/report.h"
-#endif
 
 namespace asman::cluster {
 
@@ -246,7 +244,7 @@ class Cluster {
   }
 
   /// Aggregated audit results over every host auditor plus the cluster
-  /// auditor. All zeros / empty when auditing is off or compiled out.
+  /// auditor. All zeros / empty when auditing is off.
   std::uint64_t audit_checks() const;
   std::uint64_t audit_violations() const;
   std::string audit_summary() const;
@@ -262,9 +260,7 @@ class Cluster {
     bool degraded{false};
     /// PCPUs taken offline by a kHostDegraded window, to bring back.
     std::vector<hw::PcpuId> degraded_offline;
-#ifdef ASMAN_AUDIT_ENABLED
     std::unique_ptr<audit::Auditor> auditor;
-#endif
   };
 
   /// The single seam every migration phase write goes through; call sites
@@ -321,9 +317,7 @@ class Cluster {
   __int128 residual_credit_{0};
   __int128 crash_credit_delta_{0};
 
-#ifdef ASMAN_AUDIT_ENABLED
   std::unique_ptr<ClusterAuditor> cluster_auditor_;
-#endif
 };
 
 }  // namespace asman::cluster

@@ -42,7 +42,8 @@ void LearningEstimator::update_propensities(double gap, double prev_gap,
   const double e = cfg_.experimentation;
   const double spread = e / static_cast<double>(cfg_.num_candidates - 1);
   const double chosen_x = static_cast<double>(chosen_idx) + 1.0;
-  std::vector<double> next(q_.size());
+  // Each q_[k] is rewritten from its own old value only, so the update
+  // runs in place.
   for (std::uint32_t k = 0; k < q_.size(); ++k) {
     const double x = static_cast<double>(k) + 1.0;
     double u;
@@ -62,9 +63,8 @@ void LearningEstimator::update_propensities(double gap, double prev_gap,
         u = q_[k] * spread;
       }
     }
-    next[k] = (1.0 - cfg_.recency) * q_[k] + u;
+    q_[k] = (1.0 - cfg_.recency) * q_[k] + u;
   }
-  q_ = std::move(next);
 }
 
 Cycles LearningEstimator::on_adjusting_event(Cycles now) {

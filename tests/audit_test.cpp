@@ -124,7 +124,8 @@ TEST(Auditor, DetectsVcpuDuplicatedAcrossRunQueues) {
   // Beyond the stray entry's wrong `where`, the per-VCPU reference count
   // must see both queues holding the one record.
   std::vector<Violation> out;
-  check_queue_partition(r.hv, out);
+  ScanScratch scratch;
+  check_queue_partition(r.hv, scratch, out);
   const std::string want = "v" + std::to_string(dup->key.vm) + "." +
                            std::to_string(dup->key.idx) +
                            " runnable but queued on 2 queue(s), current on 0 "

@@ -113,7 +113,6 @@ TEST(Determinism, FlatVariantsMatchDefault) {
   EXPECT_EQ(fp, fingerprint(run_scenario(blind)));
 }
 
-#ifdef ASMAN_AUDIT_ENABLED
 TEST(Determinism, AuditedRunMatchesUnauditedRun) {
   // Observation must not perturb the system: the auditor only reads
   // hypervisor state, so attaching it cannot change any statistic.
@@ -126,7 +125,6 @@ TEST(Determinism, AuditedRunMatchesUnauditedRun) {
   EXPECT_EQ(ra.audit_violations, 0u);
   EXPECT_EQ(fingerprint(run_scenario(plain)), fa);
 }
-#endif
 
 // Every VMM and guest record of one run, one formatted line each.
 std::string trace_blob(std::uint64_t seed) {

@@ -22,7 +22,7 @@ rots. A whole BENCH_*.json emission with no committed baseline also fails:
 a new bench must land together with its baseline or it rides unguarded.
 
 Usage:
-  tools/bench_diff.py --current build-noaudit/bench --baseline bench/baselines
+  tools/bench_diff.py --current build-release/bench --baseline bench/baselines
   tools/bench_diff.py --current . --threshold 0.20 --only contention
 
 Exit codes: 0 ok, 1 regression (or dropped label), 2 usage/IO error.
