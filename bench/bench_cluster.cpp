@@ -34,8 +34,8 @@ constexpr std::uint64_t kSeed = 42;
 void annotate(const ClusterSweep::PointResult& p, benchmark::State& st) {
   const ex::ClusterRunResult& rr = p.run;
   st.counters["events_per_sec"] =
-      p.wall_seconds > 0
-          ? static_cast<double>(rr.events) / p.wall_seconds
+      p.cpu_seconds > 0
+          ? static_cast<double>(rr.events) / p.cpu_seconds
           : 0.0;
   st.counters["migrations_committed"] =
       static_cast<double>(rr.migrations_committed);
@@ -60,7 +60,7 @@ void print_table(const ClusterSweep& sweep) {
     char nspe[32];
     std::snprintf(nspe, sizeof nspe, "%.1f",
                   p.run.events > 0
-                      ? p.wall_seconds * 1e9 /
+                      ? p.cpu_seconds * 1e9 /
                             static_cast<double>(p.run.events)
                       : 0.0);
     t.add_row({label, std::to_string(p.run.events), nspe,

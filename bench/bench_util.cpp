@@ -30,17 +30,17 @@ std::string write_bench_json(const BasicSweep<Sc>& sweep,
     if (!sweep.executed(label)) continue;
     const Sc& sc = sweep.scenario(label);
     const BasicPointResult<Sc>& pr = sweep.get(label);
-    const double wall = pr.wall_seconds;
+    const double cpu = pr.cpu_seconds;
     const double events = static_cast<double>(pr.run.events);
-    const double eps = wall > 0 ? events / wall : 0.0;
-    const double nspe = events > 0 ? wall * 1e9 / events : 0.0;
+    const double eps = cpu > 0 ? events / cpu : 0.0;
+    const double nspe = events > 0 ? cpu * 1e9 / events : 0.0;
     std::fprintf(out,
                  "%s\n    {\"label\": \"%s\", \"scheduler\": \"%s\", "
                  "\"seed\": %" PRIu64 ", \"events\": %" PRIu64
-                 ", \"wall_seconds\": %.6f, \"events_per_sec\": %.1f, "
+                 ", \"cpu_seconds\": %.6f, \"events_per_sec\": %.1f, "
                  "\"ns_per_event\": %.2f}",
                  first ? "" : ",", label.c_str(),
-                 core::to_string(sc.scheduler), sc.seed, pr.run.events, wall,
+                 core::to_string(sc.scheduler), sc.seed, pr.run.events, cpu,
                  eps, nspe);
     first = false;
   }

@@ -4,7 +4,7 @@
 // x workload for the paper figures, or one cluster storm per scheduler),
 // executes them in parallel on a thread pool (each simulation is
 // single-threaded and deterministic), registers one google-benchmark entry
-// per point whose manual time is the measured simulation wall time and
+// per point whose manual time is the measured simulation CPU time and
 // whose counters carry the paper metrics, writes BENCH_<name>.json and
 // finally prints its tables. BasicSweep is generic over the scenario type:
 // ex::Scenario runs through run_scenario (Sweep, the single-host benches),
@@ -13,8 +13,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
+// asman-lint: allow(determinism) -- host CPU clock measures the harness, not the simulation
+#include <ctime>
 #include <functional>
 #include <map>
 #include <memory>
@@ -44,21 +45,27 @@ inline ex::ClusterRunResult run_point(const ex::ClusterScenario& sc) {
 template <typename Sc>
 struct BasicPointResult {
   decltype(run_point(std::declval<const Sc&>())) run;
-  double wall_seconds{0};
+  double cpu_seconds{0};
 };
 
-/// Runs `fn` and returns its host wall time in seconds. The measurement
-/// never feeds back into any simulation (each run is a pure function of
-/// its scenario + seed), so determinism is not at stake — this helper is
-/// the one sanctioned wall-clock site in the bench harness.
-inline double wall_seconds_of(const std::function<void()>& fn) {
-  // asman-lint: allow(determinism) -- host wall-clock measures the harness, not the simulation
-  const auto t0 = std::chrono::steady_clock::now();
+/// Runs `fn` and returns the CPU time the calling thread spent in it, in
+/// seconds. Points run in parallel on a thread pool, so wall time would
+/// also count the time a point waits for a core; per-thread CPU time does
+/// not. The measurement never feeds back into any simulation (each run is
+/// a pure function of its scenario + seed), so determinism is not at stake
+/// -- this helper is the one sanctioned host-clock site in the bench
+/// harness.
+inline double cpu_seconds_of(const std::function<void()>& fn) {
+  const auto now = [] {
+    timespec ts{};
+    // asman-lint: allow(determinism) -- host CPU clock measures the harness, not the simulation
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+  };
+  const double t0 = now();
   fn();
-  const std::chrono::duration<double> dt =
-      // asman-lint: allow(determinism) -- host wall-clock measures the harness, not the simulation
-      std::chrono::steady_clock::now() - t0;
-  return dt.count();
+  return now() - t0;
 }
 
 /// Annotates one google-benchmark entry with counters for a point.
@@ -89,7 +96,7 @@ class BasicSweep {
     sim::ThreadPool pool;
     std::vector<PointResult> out(todo.size());
     pool.parallel_for(todo.size(), [&](std::size_t i) {
-      out[i].wall_seconds = wall_seconds_of(
+      out[i].cpu_seconds = cpu_seconds_of(
           [&] { out[i].run = run_point(scenarios_.at(todo[i])); });
     });
     std::uint64_t audited = 0;
@@ -139,7 +146,7 @@ class BasicSweep {
     return results_.count(label) != 0;
   }
 
-  /// One google-benchmark entry per point; manual time = simulation wall
+  /// One google-benchmark entry per point; manual time = simulation CPU
   /// time, counters = paper metrics chosen by `annotate`.
   void register_benchmarks(const std::string& prefix,
                            BasicAnnotator<Sc> annotate) const {
@@ -149,7 +156,7 @@ class BasicSweep {
           (prefix + "/" + l).c_str(),
           [pr, annotate](benchmark::State& state) {
             for (auto _ : state) {
-              state.SetIterationTime(pr->wall_seconds);
+              state.SetIterationTime(pr->cpu_seconds);
             }
             annotate(*pr, state);
           })
@@ -182,7 +189,7 @@ std::uint64_t peak_rss_bytes();
 
 /// Writes BENCH_<name>.json next to the binary's working directory: one
 /// record per executed point carrying label, scheduler, seed, simulated
-/// events, wall seconds, events/sec and ns/event, plus the process-wide
+/// events, CPU seconds, events/sec and ns/event, plus the process-wide
 /// peak RSS. Machine-readable so the perf trajectory can be tracked run
 /// over run (bench/baselines/ holds committed baselines). Returns the
 /// path written, or an empty string on I/O failure.

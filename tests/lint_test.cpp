@@ -468,10 +468,10 @@ TEST(LintTree, ShippedTreeIsCleanUnderAllChecks) {
   const LintRun r = run_lint("");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("0 error(s)"), std::string::npos) << r.output;
-  // The two standing allows: bench_util's wall-clock timer, which measures
-  // the harness itself and never feeds simulation state.
+  // The two standing allows: bench_util's CPU-clock include and timer
+  // call, which measure the harness itself and never feed simulation state.
   EXPECT_EQ(count_of(r.output, "suppressed by allow("), 2) << r.output;
-  EXPECT_EQ(count_of(r.output, "host wall-clock measures the harness"), 2)
+  EXPECT_EQ(count_of(r.output, "host CPU clock measures the harness"), 2)
       << r.output;
   // The suppression budget is actual + 2: a new escape can't hide in slack.
   EXPECT_NE(r.output.find("(budget 4)"), std::string::npos) << r.output;

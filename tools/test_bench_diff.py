@@ -29,7 +29,7 @@ def point(label, events=1000, ns=100.0):
         "scheduler": label.split("/")[0],
         "seed": 42,
         "events": events,
-        "wall_seconds": events * ns / 1e9,
+        "cpu_seconds": events * ns / 1e9,
         "events_per_sec": 1e9 / ns if ns else 0.0,
         "ns_per_event": ns,
     }
