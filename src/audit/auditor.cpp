@@ -255,8 +255,9 @@ void Auditor::on_relocated(vmm::VmId id) {
   ++report_.events;
   observe_time();
   // Event-scoped check: the topology-placement contract only binds at the
-  // instant relocate_vm finishes (members drift legally in between), so the
-  // checker runs here for the relocated VM and nowhere in the full scans.
+  // instant a relocation finishes (members drift legally in between), so
+  // the checker runs here for the relocated VM and nowhere in the full
+  // scans.
   std::vector<Violation> found;
   report_.entry(Invariant::kTopologyPlacement).checks +=
       check_topology_placement(hv_, id, scratch_, found);

@@ -64,10 +64,11 @@ class AuditSink {
   /// Default: ignore.
   virtual void on_vm_resized(VmId vm) { (void)vm; }
 
-  /// Algorithm 3's relocation just re-placed `vm`'s VCPUs (fired at the
-  /// end of relocate_vm, flat or topology-aware). The topology-placement
-  /// invariant is event-scoped to these instants: between relocations,
-  /// members legally drift via wakes and steals. Default: ignore.
+  /// A relocation just re-placed `vm`'s VCPUs: fired at the end of
+  /// relocate_vm (Algorithm 3, flat or topology-aware) and of a pressure
+  /// balancer move. The topology-placement invariant is event-scoped to
+  /// these instants: between relocations, members legally drift via wakes
+  /// and steals. Default: ignore.
   virtual void on_relocated(VmId vm) { (void)vm; }
 
   /// The contention engine just finished an accounting-period pass: every

@@ -189,49 +189,6 @@ void Hypervisor::set_fault_hook(FaultHook* hook) {
   if (hook) faults_armed_ = true;
 }
 
-std::uint64_t Hypervisor::vcrd_demotions() const {
-  std::uint64_t n = 0;
-  for (const auto& v : vms_) n += v->demotions;
-  return n;
-}
-
-std::uint64_t Hypervisor::stale_vcrd_drops() const {
-  std::uint64_t n = 0;
-  for (const auto& v : vms_) n += v->stale_vcrd_drops;
-  return n;
-}
-
-std::uint64_t Hypervisor::boost_grants() const {
-  std::uint64_t n = 0;
-  for (const auto& v : vms_) n += v->boost_grants;
-  return n;
-}
-
-std::uint64_t Hypervisor::boost_denials() const {
-  std::uint64_t n = 0;
-  for (const auto& v : vms_) n += v->boost_denials;
-  return n;
-}
-
-std::uint64_t Hypervisor::dodged_samples() const {
-  std::uint64_t n = 0;
-  for (const auto& v : vms_) n += v->dodged_samples;
-  return n;
-}
-
-std::uint64_t Hypervisor::implausible_vcrds() const {
-  std::uint64_t n = 0;
-  for (const auto& v : vms_) n += v->implausible_vcrds;
-  return n;
-}
-
-std::uint64_t Hypervisor::theft_cycles_total() const {
-  std::uint64_t n = 0;
-  for (const auto& v : vms_)
-    n += theft_cycles(v->total_online, v->cycles_attributed);
-  return n;
-}
-
 // --- graceful degradation ---------------------------------------------------
 
 void Hypervisor::demote_vm(Vm& v, DemoteReason why) {
@@ -249,14 +206,8 @@ void Hypervisor::demote_vm(Vm& v, DemoteReason why) {
 }
 
 void Hypervisor::note_flap(Vm& v) {
-  const Cycles now = sim_.now();
-  if (v.flap_count == 0 ||
-      now - v.flap_window_start > resilience_.flap_window) {
-    v.flap_window_start = now;
-    v.flap_count = 0;
-  }
-  ++v.flap_count;
-  if (resilience_.flap_limit > 0 && v.flap_count > resilience_.flap_limit &&
+  const std::uint64_t flaps = v.flaps.note(sim_.now(), resilience_.flap_window);
+  if (resilience_.flap_limit > 0 && flaps > resilience_.flap_limit &&
       !v.degraded)
     demote_vm(v, DemoteReason::kVcrdFlap);
 }
@@ -271,14 +222,8 @@ bool Hypervisor::grant_boost(Vm& m) {
     ++m.boost_denials;
     return false;
   }
-  // Same sliding-window shape as note_flap: count grants in the current
-  // window; overflow opens the penalty window.
-  if (m.boost_count == 0 ||
-      now - m.boost_window_start > resilience_.boost_window) {
-    m.boost_window_start = now;
-    m.boost_count = 0;
-  }
-  if (++m.boost_count > resilience_.boost_limit) {
+  // Overflowing the grant window opens the penalty window.
+  if (m.boosts.note(now, resilience_.boost_window) > resilience_.boost_limit) {
     m.boost_penalty_until = now + resilience_.boost_penalty;
     ++m.boost_denials;
     note_trace(sim::TraceKind::kBoostRateLimit, m.id);
@@ -297,29 +242,21 @@ void Hypervisor::vcpu_yield_hint(VmId id, std::uint32_t vidx) {
   if (halted_ || id >= vms_.size() || !vms_[id]->alive) return;
   Vm& v = *vms_[id];
   ++v.yield_hints;
-  const Cycles now = sim_.now();
-  if (v.yields_in_window == 0 ||
-      now - v.yield_window_start > resilience_.vcrd_check_window) {
-    v.yield_window_start = now;
-    v.yields_in_window = 0;
-  }
-  ++v.yields_in_window;
+  v.yields.note(sim_.now(), resilience_.vcrd_check_window);
 }
 
 void Hypervisor::degradation_tick(Vm& v) {
   const Cycles now = sim_.now();
   if (v.degraded && now >= v.degraded_until) {
     v.degraded = false;
-    v.flap_count = 0;
+    v.flaps.count = 0;
     v.watchdog_streak = 0;
     note_trace(sim::TraceKind::kDegradedLifted, v.id);
     // While degraded the members ran under stock rules and may have drifted
     // onto shared homes; a gang must regain coscheduling with a coherent
     // placement or the next launch would double-book a PCPU. (Excess-socket
     // drift is repacked too under topology-aware placement.)
-    if (cosched_eligible(v) &&
-        (gang_homes_collide(v) || gang_spans_excess_sockets(v)))
-      relocate_vm(v);
+    repair_gang(v);
   }
   if (resilience_.vcrd_ttl.v > 0 && v.vcrd == Vcrd::kHigh &&
       now - v.vcrd_last_report > resilience_.vcrd_ttl) {
@@ -337,6 +274,18 @@ void Hypervisor::arm_gang_watchdog(Vm& v) {
   if (v.watchdog_ev.valid()) return;
   v.watchdog_ev = sim_.after(resilience_.gang_watchdog,
                              [this, id = v.id] { gang_watchdog_fire(id); });
+}
+
+void Hypervisor::cancel_watchdog(Vm& v) {
+  if (!v.watchdog_ev.valid()) return;
+  sim_.cancel(v.watchdog_ev);
+  v.watchdog_ev = {};
+}
+
+void Hypervisor::repair_gang(Vm& v) {
+  if (cosched_eligible(v) &&
+      (gang_homes_collide(v) || gang_spans_excess_sockets(v)))
+    relocate_vm(v);
 }
 
 void Hypervisor::gang_watchdog_fire(VmId id) {
@@ -503,7 +452,7 @@ void Hypervisor::note_migration(Vcpu& v, PcpuId from, PcpuId to) {
 std::vector<bool> Hypervisor::gang_socket_set(const Vm& v) const {
   // Sockets pinned by running members, greedily extended (largest spare
   // online-unclaimed capacity, tie lowest socket id) until the non-running
-  // members fit. Both relocate_vm_topo and the audit invariant derive
+  // members fit. Both relocate_vm and the audit invariant derive
   // "minimal" from this one function, so they can never disagree.
   std::vector<bool> claimed(machine_.num_pcpus, false);
   std::vector<bool> allowed(topo_.num_sockets(), false);
@@ -748,8 +697,10 @@ void Hypervisor::set_state(Vcpu& v, VcpuState to) {
 
 void Hypervisor::enqueue(PcpuId p, Vcpu* v) { pcpus_[p].runq.push(v); }
 
-bool Hypervisor::dequeue(PcpuId p, Vcpu* v) {
-  return pcpus_[p].runq.remove(v);
+void Hypervisor::dequeue(PcpuId p, Vcpu* v) {
+  const bool removed = pcpus_[p].runq.remove(v);
+  assert(removed);  // every caller dequeues a VCPU it found queued on p
+  (void)removed;
 }
 
 // --- map / unmap ------------------------------------------------------------
@@ -892,10 +843,7 @@ Vcpu* Hypervisor::steal_for(PcpuId p, bool allow_over) {
   }
   if (best) {
     dequeue(src, best);
-    note_migration(*best, best->where, p);
-    best->where = p;
-    ++best->migrations;
-    ++migrations_;
+    count_move(*best, p);
   }
   return best;
 }
@@ -955,21 +903,14 @@ void Hypervisor::dispatch(PcpuId p) {
 
   if (choice == nullptr) {
     if (cur) go_offline(p);
-    if (pc.current == nullptr && !pc.idle_marked) {
-      pc.idle_marked = true;
-      pc.idle_since = sim_.now();
-    }
+    mark_idle(p);
     return;
   }
 
   if (choice != cur) {
     // Secure the choice before any co-stop cascade can re-dispatch other
     // PCPUs (they must not steal it from under us).
-    if (!stolen) {
-      const bool removed = dequeue(p, choice);
-      assert(removed);
-      (void)removed;
-    }
+    if (!stolen) dequeue(p, choice);
     if (cur) preempt_current(p);
     go_online(p, choice);
   }
@@ -1020,14 +961,7 @@ void Hypervisor::co_stop(Vm& v) {
   in_co_stop_ = true;
   ++co_stops_;
   note_trace(sim::TraceKind::kCoStop, v.id);
-  for (Vcpu& w : v.vcpus) {
-    if (w.cosched_clear_ev.valid()) {
-      sim_.cancel(w.cosched_clear_ev);
-      w.cosched_clear_ev = {};
-    }
-    w.cosched_boost = false;
-    w.cosched_weak = false;
-  }
+  for (Vcpu& w : v.vcpus) cancel_cosched_boost(w);
   // Deschedule every running member and let each PCPU re-pick: if the gang
   // is still the best claimant it resumes whole (and the head re-launches
   // boosts); otherwise it stops whole.
@@ -1036,10 +970,7 @@ void Hypervisor::co_stop(Vm& v) {
     const PcpuId p = w.where;
     go_offline(p);
     dispatch(p);
-    if (pcpus_[p].current == nullptr && !pcpus_[p].idle_marked) {
-      pcpus_[p].idle_marked = true;
-      pcpus_[p].idle_since = sim_.now();
-    }
+    mark_idle(p);
   }
   in_co_stop_ = false;
 }
@@ -1221,9 +1152,7 @@ void Hypervisor::do_vcrd_op(VmId id, Vcrd vcrd) {
   // guests yield every spin_yield_period and clear the floor easily.
   if (vcrd == Vcrd::kHigh && resilience_.vcrd_min_yields > 0) {
     const std::uint64_t recent =
-        sim_.now() - v.yield_window_start <= resilience_.vcrd_check_window
-            ? v.yields_in_window
-            : 0;
+        v.yields.recent(sim_.now(), resilience_.vcrd_check_window);
     if (recent < resilience_.vcrd_min_yields) {
       ++v.implausible_vcrds;
       note_trace(sim::TraceKind::kVcrdHighRejected, id, 0, 0,
@@ -1272,18 +1201,13 @@ void Hypervisor::vcpu_block(VmId id, std::uint32_t vidx) {
       Vcpu* u = unmap_current(p);
       set_state(*u, VcpuState::kBlocked);
       dispatch(p);
-      if (pcpus_[p].current == nullptr && !pcpus_[p].idle_marked) {
-        pcpus_[p].idle_marked = true;
-        pcpus_[p].idle_since = sim_.now();
-      }
+      mark_idle(p);
       in_scheduler_ = false;
       audit_event(AuditPoint::kBlock);
       return;
     }
     case VcpuState::kRunnable: {
-      const bool removed = dequeue(v.where, &v);
-      assert(removed);
-      (void)removed;
+      dequeue(v.where, &v);
       set_state(v, VcpuState::kBlocked);
       audit_event(AuditPoint::kBlock);
       return;
@@ -1318,15 +1242,9 @@ void Hypervisor::vcpu_kick(VmId id, std::uint32_t vidx) {
   // armed) rate-limited per VM: sleep/wake oscillation cannot farm
   // unbounded wake-priority (arXiv 1103.0759's BOOST abuse).
   v.wake_boost = v.credit > 0 && grant_boost(vm(id));
-  if (!pcpus_[v.where].online) {
-    // The wake home went offline while this VCPU was blocked; re-home it
-    // lazily now (credit travels with the VCPU).
-    const PcpuId stale = v.where;
-    v.where = pick_online_home(id, stale);
-    ++v.migrations;
-    ++migrations_;
-    note_migration(v, stale, v.where);
-  }
+  // The wake home went offline while this VCPU was blocked; re-home it
+  // lazily now (credit travels with the VCPU).
+  if (!pcpus_[v.where].online) count_move(v, pick_online_home(id, v.where));
   const PcpuId home = v.where;
   enqueue(home, &v);
   in_scheduler_ = true;
@@ -1345,92 +1263,48 @@ void Hypervisor::vcpu_kick(VmId id, std::uint32_t vidx) {
 // --- Algorithm 3 lines 8-16 ---------------------------------------------------
 
 void Hypervisor::relocate_vm(Vm& v) {
-  if (topo_place_active()) {
-    relocate_vm_topo(v);
-    note_trace(sim::TraceKind::kVmRelocated, v.id);
-    audit_relocated(v.id);
-    return;
-  }
+  // Pairwise-distinct online PCPUs, running members pinned. Under
+  // topology-aware placement the other members may only land inside the
+  // greedily-minimal socket set, so a HIGH-VCRD gang packs within a socket
+  // when it fits instead of spreading across the machine.
+  std::vector<bool> sockets;
+  if (topo_place_active()) sockets = gang_socket_set(v);
+  const auto allowed = [&](PcpuId p) {
+    return sockets.empty() || sockets[topo_.socket_of(p)];
+  };
   std::vector<bool>& claimed = pcpu_claimed_;
   claimed.assign(machine_.num_pcpus, false);
-  // Running VCPUs pin their PCPU.
   for (const Vcpu& c : v.vcpus)
     if (c.state == VcpuState::kRunning) claimed[c.where] = true;
   for (Vcpu& c : v.vcpus) {
     if (c.state == VcpuState::kRunning) continue;
-    if (!claimed[c.where] && pcpus_[c.where].online) {
+    if (!claimed[c.where] && pcpus_[c.where].online && allowed(c.where)) {
       claimed[c.where] = true;
       continue;
     }
-    // Choose the least-loaded unclaimed online PCPU (lowest id breaks ties).
-    PcpuId dest = machine_.num_pcpus;
-    std::size_t best_load = 0;
-    for (PcpuId p = 0; p < machine_.num_pcpus; ++p) {
-      if (claimed[p] || !pcpus_[p].online) continue;
-      const std::size_t load = pcpus_[p].runq.size();
-      if (dest == machine_.num_pcpus || load < best_load) {
-        dest = p;
-        best_load = load;
-      }
-    }
-    if (dest == machine_.num_pcpus) break;  // more VCPUs than PCPUs
-    if (c.state == VcpuState::kRunnable) {
-      const bool removed = dequeue(c.where, &c);
-      assert(removed);
-      (void)removed;
-      enqueue(dest, &c);
-      ++c.migrations;
-      ++migrations_;
-      note_migration(c, c.where, dest);
-    }
-    c.where = dest;  // blocked VCPUs just get a new wake-up home
+    const PcpuId dest = least_loaded_online(
+        [&](PcpuId p) { return !claimed[p] && allowed(p); });
+    if (dest == machine_.num_pcpus) break;  // more VCPUs than capacity
+    rehome(c, dest);
     claimed[dest] = true;
   }
   note_trace(sim::TraceKind::kVmRelocated, v.id);
   audit_relocated(v.id);
 }
 
-void Hypervisor::relocate_vm_topo(Vm& v) {
-  // Same contract as the flat path — pairwise-distinct online PCPUs,
-  // running members pinned — but non-running members may only land inside
-  // the greedily-minimal socket set, so a HIGH-VCRD gang packs within a
-  // socket when it fits instead of spreading across the machine.
-  const std::vector<bool> allowed = gang_socket_set(v);
-  std::vector<bool>& claimed = pcpu_claimed_;
-  claimed.assign(machine_.num_pcpus, false);
-  for (const Vcpu& c : v.vcpus)
-    if (c.state == VcpuState::kRunning) claimed[c.where] = true;
-  for (Vcpu& c : v.vcpus) {
-    if (c.state == VcpuState::kRunning) continue;
-    if (!claimed[c.where] && pcpus_[c.where].online &&
-        allowed[topo_.socket_of(c.where)]) {
-      claimed[c.where] = true;
-      continue;
-    }
-    PcpuId dest = machine_.num_pcpus;
-    std::size_t best_load = 0;
-    for (PcpuId p = 0; p < machine_.num_pcpus; ++p) {
-      if (claimed[p] || !pcpus_[p].online) continue;
-      if (!allowed[topo_.socket_of(p)]) continue;
-      const std::size_t load = pcpus_[p].runq.size();
-      if (dest == machine_.num_pcpus || load < best_load) {
-        dest = p;
-        best_load = load;
-      }
-    }
-    if (dest == machine_.num_pcpus) break;  // more VCPUs than capacity
-    if (c.state == VcpuState::kRunnable) {
-      const bool removed = dequeue(c.where, &c);
-      assert(removed);
-      (void)removed;
-      enqueue(dest, &c);
-      ++c.migrations;
-      ++migrations_;
-      note_migration(c, c.where, dest);
-    }
-    c.where = dest;
-    claimed[dest] = true;
+void Hypervisor::rehome(Vcpu& v, PcpuId dest) {
+  if (v.state != VcpuState::kRunnable) {
+    v.where = dest;  // a blocked VCPU just gets a new wake-up home
+    return;
   }
+  dequeue(v.where, &v);
+  enqueue(dest, &v);
+  count_move(v, dest);
+}
+
+void Hypervisor::dispatch_idle() {
+  for (PcpuId q = 0; q < machine_.num_pcpus; ++q)
+    if (pcpus_[q].online && pcpus_[q].current == nullptr) dispatch(q);
 }
 
 // --- fault-injection entry points --------------------------------------------
@@ -1460,31 +1334,20 @@ void Hypervisor::fault_pcpu_offline(PcpuId p) {
   maybe_shed_overload();
   // Evacuate the run queue onto online PCPUs, credit intact — credit is
   // per-VCPU state and travels with the record, so conservation holds.
+  // Near the dying PCPU: under topology-aware placement evacuees prefer
+  // the sibling LLC/socket so their caches stay as warm as possible.
   const std::vector<Vcpu*> evac = pc.runq.entries();
   for (Vcpu* w : evac) {
-    dequeue(p, w);
-    // Near the dying PCPU: under topology-aware placement evacuees prefer
-    // the sibling LLC/socket so their caches stay as warm as possible.
-    const PcpuId dest = pick_online_home(w->key.vm, p);
-    note_migration(*w, w->where, dest);
-    w->where = dest;
-    enqueue(dest, w);
-    ++w->migrations;
-    ++migrations_;
+    rehome(*w, pick_online_home(w->key.vm, p));
     ++evacuated_vcpus_;
   }
-  if (!pc.idle_marked) {
-    pc.idle_marked = true;
-    pc.idle_since = sim_.now();
-  }
+  mark_idle(p);
   // A strict gang that lost a member (or no longer fits the machine) must
   // not keep partial boosts; release it and let stock rules re-pick.
   if (victim && strictness_ == Strictness::kStrict && !in_co_stop_ &&
       wants_cosched(*victim))
     co_stop(*victim);
-  // Idle online PCPUs pick up the evacuees right away.
-  for (PcpuId q = 0; q < machine_.num_pcpus; ++q)
-    if (pcpus_[q].online && pcpus_[q].current == nullptr) dispatch(q);
+  dispatch_idle();  // idle online PCPUs pick up the evacuees right away
   in_scheduler_ = false;
   audit_event(AuditPoint::kHotplug);
 }
@@ -1502,12 +1365,7 @@ void Hypervisor::fault_pcpu_online(PcpuId p) {
   // shared homes; now that they fit again, spread them back out before any
   // launch (or audit pass) sees a double-booked PCPU. Under topology-aware
   // placement a gang squeezed across extra sockets repacks too.
-  for (const auto& vp : vms_) {
-    Vm& v = *vp;
-    if (cosched_eligible(v) &&
-        (gang_homes_collide(v) || gang_spans_excess_sockets(v)))
-      relocate_vm(v);
-  }
+  for (const auto& vp : vms_) repair_gang(*vp);
   dispatch(p);  // steal work immediately instead of idling until its tick
   in_scheduler_ = false;
   audit_event(AuditPoint::kHotplug);
@@ -1522,12 +1380,7 @@ void Hypervisor::fault_crash_vcpu(VmId vm_id, std::uint32_t vidx) {
   v.crashed = true;
   faults_armed_ = true;
   note_trace(sim::TraceKind::kVcpuCrashed, v.key.vm, v.key.idx);
-  if (v.cosched_clear_ev.valid()) {
-    sim_.cancel(v.cosched_clear_ev);
-    v.cosched_clear_ev = {};
-  }
-  v.cosched_boost = false;
-  v.cosched_weak = false;
+  cancel_cosched_boost(v);
   v.wake_boost = false;
   in_scheduler_ = true;
   switch (v.state) {
@@ -1539,16 +1392,11 @@ void Hypervisor::fault_crash_vcpu(VmId vm_id, std::uint32_t vidx) {
           cosched_eligible(owner))
         co_stop(owner);
       dispatch(p);
-      if (pcpus_[p].current == nullptr && !pcpus_[p].idle_marked) {
-        pcpus_[p].idle_marked = true;
-        pcpus_[p].idle_since = sim_.now();
-      }
+      mark_idle(p);
       break;
     }
     case VcpuState::kRunnable: {
-      const bool removed = dequeue(v.where, &v);
-      assert(removed);
-      (void)removed;
+      dequeue(v.where, &v);
       set_state(v, VcpuState::kBlocked);
       break;
     }

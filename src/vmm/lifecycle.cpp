@@ -44,6 +44,20 @@ double Hypervisor::prospective_load(double extra) const {
 
 double Hypervisor::weighted_vcpu_load() const { return prospective_load(0.0); }
 
+bool Hypervisor::admits(std::uint32_t extra_vcpus, std::uint32_t weight,
+                        sim::TraceKind reject, VmId id,
+                        std::uint32_t n_vcpus) {
+  if (!admission_enabled()) return true;
+  const double load = prospective_load(
+      static_cast<double>(extra_vcpus) *
+      (static_cast<double>(weight) / kReferenceWeight));
+  if (load <= admission_.max_vcpus_per_pcpu) return true;
+  ++admission_rejects_;
+  note_trace(reject, id, n_vcpus, 0, sim::to_milli(load),
+             sim::to_milli(admission_.max_vcpus_per_pcpu));
+  return false;
+}
+
 PcpuId Hypervisor::place_new_vcpu(VmId id, std::uint32_t vidx,
                                   const Vm& self) const {
   const std::uint32_t n = machine_.num_pcpus;
@@ -130,19 +144,9 @@ VmId Hypervisor::create_vm(std::string name, std::uint32_t weight,
     note_trace(sim::TraceKind::kVmOutOfBounds, 0, 0, 0, n_vcpus);
     return kInvalidVmId;
   }
-  if (admission_enabled()) {
-    const double extra =
-        static_cast<double>(n_vcpus) *
-        (static_cast<double>(weight) / kReferenceWeight);
-    const double load = prospective_load(extra);
-    if (load > admission_.max_vcpus_per_pcpu) {
-      ++admission_rejects_;
-      note_trace(sim::TraceKind::kCreateAdmissionReject, 0, n_vcpus, 0,
-                 sim::to_milli(load),
-                 sim::to_milli(admission_.max_vcpus_per_pcpu));
-      return kInvalidVmId;
-    }
-  }
+  if (!admits(n_vcpus, weight, sim::TraceKind::kCreateAdmissionReject, 0,
+              n_vcpus))
+    return kInvalidVmId;
   const VmId id = static_cast<VmId>(vms_.size());
   auto v = std::make_unique<Vm>();
   v->id = id;
@@ -171,8 +175,7 @@ VmId Hypervisor::create_vm(std::string name, std::uint32_t weight,
     // guest port wired); busy PCPUs collect them at their next tick.
     sim_.after(Cycles{0}, [this] {
       in_scheduler_ = true;
-      for (PcpuId q = 0; q < machine_.num_pcpus; ++q)
-        if (pcpus_[q].online && pcpus_[q].current == nullptr) dispatch(q);
+      dispatch_idle();
       in_scheduler_ = false;
     });
     audit_event(AuditPoint::kLifecycle);
@@ -181,12 +184,7 @@ VmId Hypervisor::create_vm(std::string name, std::uint32_t weight,
 }
 
 void Hypervisor::drain_vcpu(Vcpu& w, std::vector<PcpuId>& freed) {
-  if (w.cosched_clear_ev.valid()) {
-    sim_.cancel(w.cosched_clear_ev);
-    w.cosched_clear_ev = {};
-  }
-  w.cosched_boost = false;
-  w.cosched_weak = false;
+  cancel_cosched_boost(w);
   w.wake_boost = false;
   switch (w.state) {
     case VcpuState::kRunning: {
@@ -199,9 +197,7 @@ void Hypervisor::drain_vcpu(Vcpu& w, std::vector<PcpuId>& freed) {
       break;
     }
     case VcpuState::kRunnable: {
-      const bool removed = dequeue(w.where, &w);
-      assert(removed);
-      (void)removed;
+      dequeue(w.where, &w);
       set_state(w, VcpuState::kDestroyed);
       break;
     }
@@ -220,34 +216,32 @@ void Hypervisor::redispatch_freed(const std::vector<PcpuId>& freed) {
   for (const PcpuId p : freed) {
     if (!pcpus_[p].online) continue;
     if (pcpus_[p].current == nullptr) dispatch(p);
-    if (pcpus_[p].current == nullptr && !pcpus_[p].idle_marked) {
-      pcpus_[p].idle_marked = true;
-      pcpus_[p].idle_since = sim_.now();
-    }
+    mark_idle(p);
   }
 }
 
 bool Hypervisor::destroy_vm(VmId id) {
   if (id >= vms_.size() || !vms_[id]->alive) return false;
-  Vm& v = *vms_[id];
+  ++vm_destroys_;
+  note_trace(sim::TraceKind::kVmDestroyed, id);
+  retire_vm(*vms_[id]);
+  return true;
+}
+
+void Hypervisor::retire_vm(Vm& v) {
   // Dead first: from here on no dispatch, steal, IPI or hypercall path
   // touches this VM (cosched_eligible and the hypercall guards all check
   // `alive` before anything else).
   v.alive = false;
   v.destroyed_at = sim_.now();
-  ++vm_destroys_;
-  note_trace(sim::TraceKind::kVmDestroyed, id);
   const bool was = in_scheduler_;
   in_scheduler_ = true;
-  if (v.watchdog_ev.valid()) {
-    sim_.cancel(v.watchdog_ev);
-    v.watchdog_ev = {};
-  }
+  cancel_watchdog(v);
   if (v.vcrd == Vcrd::kHigh) {  // close the HIGH interval for statistics
     v.vcrd_high_time += sim_.now() - v.vcrd_high_since;
     v.vcrd = Vcrd::kLow;
   }
-  // Mid-gang destruction aborts the gang cleanly: each member's boost is
+  // Mid-gang retirement aborts the gang cleanly: each member's boost is
   // cancelled and it is drained through the audited transition paths —
   // running members unmap (burn/charge as usual), queued members leave
   // their run queues, blocked members tombstone in place.
@@ -258,7 +252,6 @@ bool Hypervisor::destroy_vm(VmId id) {
   maybe_restore_overload();  // load fell; the shed backoff still gates
   in_scheduler_ = was;
   audit_event(AuditPoint::kLifecycle);
-  return true;
 }
 
 bool Hypervisor::resize_vm(VmId id, std::uint32_t n_vcpus) {
@@ -268,19 +261,9 @@ bool Hypervisor::resize_vm(VmId id, std::uint32_t n_vcpus) {
   if (n_vcpus == n_old) return true;
   const bool was = in_scheduler_;
   if (n_vcpus > n_old) {
-    if (admission_enabled()) {
-      const double extra =
-          static_cast<double>(n_vcpus - n_old) *
-          (static_cast<double>(v.weight) / kReferenceWeight);
-      const double load = prospective_load(extra);
-      if (load > admission_.max_vcpus_per_pcpu) {
-        ++admission_rejects_;
-        note_trace(sim::TraceKind::kResizeAdmissionReject, id, n_vcpus, 0,
-                   sim::to_milli(load),
-                   sim::to_milli(admission_.max_vcpus_per_pcpu));
-        return false;
-      }
-    }
+    if (!admits(n_vcpus - n_old, v.weight,
+                sim::TraceKind::kResizeAdmissionReject, id, n_vcpus))
+      return false;
     in_scheduler_ = true;
     // Grow: fresh runnable VCPUs with zero credit (the VM's pool is
     // re-split over the new count at the next accounting). Vm::vcpus is a
@@ -296,14 +279,11 @@ bool Hypervisor::resize_vm(VmId id, std::uint32_t n_vcpus) {
     maybe_shed_overload();
     // A grown gang may now collide with itself (or, topology-aware, spill
     // across more sockets than it needs); re-spread before launch.
-    if (cosched_eligible(v) &&
-        (gang_homes_collide(v) || gang_spans_excess_sockets(v)))
-      relocate_vm(v);
+    repair_gang(v);
     if (started_)
       sim_.after(Cycles{0}, [this] {
         in_scheduler_ = true;
-        for (PcpuId q = 0; q < machine_.num_pcpus; ++q)
-          if (pcpus_[q].online && pcpus_[q].current == nullptr) dispatch(q);
+        dispatch_idle();
         in_scheduler_ = false;
       });
   } else {
@@ -319,9 +299,7 @@ bool Hypervisor::resize_vm(VmId id, std::uint32_t n_vcpus) {
     // Mid-gang shrink: survivors must hold pairwise-distinct PCPUs before
     // the next launch (the drained members may have pinned shared homes) —
     // and a smaller gang may now fit fewer sockets.
-    if (cosched_eligible(v) &&
-        (gang_homes_collide(v) || gang_spans_excess_sockets(v)))
-      relocate_vm(v);
+    repair_gang(v);
     redispatch_freed(freed);
     maybe_restore_overload();
   }
@@ -351,10 +329,7 @@ void Hypervisor::maybe_shed_overload() {
   for (auto& vp : vms_) {
     Vm& v = *vp;
     if (!v.alive) continue;
-    if (v.watchdog_ev.valid()) {
-      sim_.cancel(v.watchdog_ev);
-      v.watchdog_ev = {};
-    }
+    cancel_watchdog(v);
     if (wants_cosched(v) && !v.degraded) co_stop(v);
   }
   in_scheduler_ = was;
@@ -373,12 +348,7 @@ void Hypervisor::maybe_restore_overload() {
   // While shed, gang members drifted onto shared homes under stock rules;
   // regaining eligibility with a colliding placement would double-book a
   // PCPU at the next launch (excess-socket drift is repacked too).
-  for (auto& vp : vms_) {
-    Vm& v = *vp;
-    if (cosched_eligible(v) &&
-        (gang_homes_collide(v) || gang_spans_excess_sockets(v)))
-      relocate_vm(v);
-  }
+  for (auto& vp : vms_) repair_gang(*vp);
 }
 
 }  // namespace asman::vmm

@@ -10,7 +10,6 @@
 // only break if someone bypasses this seam — which is precisely what the
 // pressure-conservation invariant exists to catch.
 #include <algorithm>
-#include <cassert>
 #include <vector>
 
 #include "vmm/hypervisor.h"
@@ -209,28 +208,10 @@ bool Hypervisor::rebalance_vm_to_socket(Vm& v, std::uint32_t socket) {
     // wake home is pointless.
     if (c.state == VcpuState::kRunning || c.crashed) continue;
     if (topo_.socket_of(c.where) == socket) continue;
-    // Least-loaded online PCPU on the destination socket (tie: lowest id).
-    PcpuId dest = machine_.num_pcpus;
-    std::size_t best_load = 0;
-    for (const PcpuId p : topo_.pcpus_in_socket(socket)) {
-      if (!pcpus_[p].online) continue;
-      const std::size_t load = pcpus_[p].runq.size();
-      if (dest == machine_.num_pcpus || load < best_load) {
-        dest = p;
-        best_load = load;
-      }
-    }
-    if (dest == machine_.num_pcpus) return moved;  // socket fully offline
-    if (c.state == VcpuState::kRunnable) {
-      const bool removed = dequeue(c.where, &c);
-      assert(removed);
-      (void)removed;
-      enqueue(dest, &c);
-      ++c.migrations;
-      ++migrations_;
-      note_migration(c, c.where, dest);
-    }
-    c.where = dest;  // blocked VCPUs just get a new wake-up home
+    const PcpuId dest = least_loaded_online(
+        [&](PcpuId p) { return topo_.socket_of(p) == socket; });
+    if (dest == machine_.num_pcpus) break;  // socket fully offline
+    rehome(c, dest);
     moved = true;
   }
   if (moved) audit_relocated(v.id);

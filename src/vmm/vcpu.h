@@ -24,6 +24,29 @@ static_assert(core::bounds_of(core::field::kCreditPerSlot)->lo ==
               core::bounds_of(core::field::kCreditPerSlot)->hi ==
                   kCreditPerSlot);
 
+/// Sliding event counter behind the VMM's three rate defences (the
+/// VCRD-flap limiter, the BOOST limiter and the yield evidence of the VCRD
+/// plausibility clamp): a window opens at an event and restarts at the
+/// first event that comes more than its length after it opened.
+struct EventWindow {
+  Cycles start{0};
+  std::uint64_t count{0};
+
+  /// Count one event at `now` in a window of length `len`; returns the
+  /// events counted in the current window, this one included.
+  std::uint64_t note(Cycles now, Cycles len) {
+    if (count == 0 || now - start > len) {
+      start = now;
+      count = 0;
+    }
+    return ++count;
+  }
+  /// Events of the current window if it is still open at `now`, else 0.
+  std::uint64_t recent(Cycles now, Cycles len) const {
+    return now - start <= len ? count : 0;
+  }
+};
+
 struct Vcpu {
   VcpuKey key;
   Credit credit{0};
@@ -125,10 +148,8 @@ struct Vm {
   /// fires; see Hypervisor::cosched_eligible.
   bool degraded{false};
   Cycles degraded_until{0};
-  /// Sliding-window state of the flap rate-limiter (LOW->HIGH transitions
-  /// inside the current window).
-  Cycles flap_window_start{0};
-  std::uint32_t flap_count{0};
+  /// Flap rate-limiter window: LOW->HIGH transitions.
+  EventWindow flaps;
   /// When the VM last issued an accepted do_vcrd_op (VCRD staleness TTL).
   Cycles vcrd_last_report{0};
   /// Consecutive gang-watchdog fires without an intervening complete gang.
@@ -136,18 +157,16 @@ struct Vm {
   sim::EventId watchdog_ev{};
 
   // -- adversarial-tenancy defenses (docs/MODEL.md "Threat model") --
-  /// Sliding-window state of the BOOST rate-limiter (wake boosts granted
-  /// inside the current window; grants beyond ResilienceConfig::boost_limit
-  /// open a penalty window during which wakes get no BOOST).
-  Cycles boost_window_start{0};
-  std::uint32_t boost_count{0};
+  /// BOOST rate-limiter window: wake boosts granted. Grants beyond
+  /// ResilienceConfig::boost_limit open a penalty window during which
+  /// wakes get no BOOST.
+  EventWindow boosts;
   Cycles boost_penalty_until{0};
-  /// Sliding-window yield-hint observation (hardware-side spin evidence,
-  /// same signal core::HwAdaptiveScheduler consumes) backing the VCRD
-  /// plausibility clamp: a HIGH claim from a VM that produced fewer than
+  /// Yield-hint window (hardware-side spin evidence, the same signal
+  /// core::HwAdaptiveScheduler consumes) backing the VCRD plausibility
+  /// clamp: a HIGH claim from a VM that produced fewer than
   /// ResilienceConfig::vcrd_min_yields recent hints is rejected.
-  Cycles yield_window_start{0};
-  std::uint64_t yields_in_window{0};
+  EventWindow yields;
 
   // -- statistics --
   std::uint64_t demotions{0};        // flap/watchdog demotions to degraded

@@ -2,6 +2,7 @@
 // charge statistics, strictness interactions.
 #include <gtest/gtest.h>
 
+#include "audit/auditor.h"
 #include "core/schedulers.h"
 #include "guest/guest_kernel.h"
 #include "simcore/simulator.h"
@@ -174,6 +175,41 @@ TEST(Block, BlockingAQueuedVcpuRemovesIt) {
   EXPECT_FALSE(hv.vcpu_is_online(a, queued));
   // The remaining VCPU owns the PCPU.
   EXPECT_GT(hv.vm(a).total_online.ratio(s.now()), 0.85);
+}
+
+TEST(Resume, QueuedVcpuWhoseHomeWentOfflineIsRehomed) {
+  // B (1 VCPU) is placed first, so A's VCPUs land one per PCPU and A has
+  // exactly one VCPU homed on each; two runnable hogs share PCPU 0.
+  sim::Simulator s;
+  CreditScheduler hv(s, machine(2), SchedMode::kWorkConserving);
+  HogGuest g;
+  const VmId b = hv.create_vm("B", 256, 1);
+  const VmId a = hv.create_vm("A", 256, 2);
+  hv.attach_guest(b, &g);
+  hv.attach_guest(a, &g);
+  audit::Auditor auditor(s, hv);
+  hv.start();
+  s.run_until(seconds(0.005));
+  // Pause while one of A's VCPUs waits in a run queue.
+  std::uint32_t queued = 2;
+  for (std::uint32_t i = 0; i < 2; ++i)
+    if (hv.vm(a).vcpus[i].state == VcpuState::kRunnable) queued = i;
+  ASSERT_LT(queued, 2u) << "no queued VCPU of A to pause";
+  const PcpuId home = hv.vm(a).vcpus[queued].where;
+  ASSERT_NE(hv.vm(a).vcpus[1 - queued].where, home);
+  ASSERT_TRUE(hv.pause_vm(a));
+  hv.fault_pcpu_offline(home);
+  ASSERT_FALSE(hv.pcpu_is_online(home));
+  const std::uint64_t migrations = hv.total_migrations();
+  ASSERT_TRUE(hv.resume_vm(a));
+  const Vcpu& moved = hv.vm(a).vcpus[queued];
+  EXPECT_NE(moved.state, VcpuState::kBlocked);
+  EXPECT_TRUE(hv.pcpu_is_online(moved.where));
+  EXPECT_EQ(hv.total_migrations(), migrations + 1);
+  s.run_until(s.now() + seconds(0.1));
+  auditor.check_now();
+  EXPECT_GT(auditor.report().total_checks(), 0u);
+  EXPECT_TRUE(auditor.report().clean());
 }
 
 class OnlineRateAccuracy
