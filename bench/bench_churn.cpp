@@ -41,18 +41,6 @@ Sweep build_sweep() {
   return s;
 }
 
-void annotate(const PointResult& pr, benchmark::State& st) {
-  const ex::RunResult& rr = pr.run;
-  st.counters["gang_work"] =
-      static_cast<double>(rr.vm("Gang").stats.spin_acquisitions);
-  st.counters["creates"] = static_cast<double>(rr.vm_creates);
-  st.counters["destroys"] = static_cast<double>(rr.vm_destroys);
-  st.counters["resizes"] = static_cast<double>(rr.vm_resizes);
-  st.counters["adm_rejects"] = static_cast<double>(rr.admission_rejects);
-  st.counters["sheds"] = static_cast<double>(rr.overload_sheds);
-  st.counters["restores"] = static_cast<double>(rr.overload_restores);
-}
-
 void add_row(ex::TextTable& t, const char* label, const ex::RunResult& rr,
              double base_work) {
   const auto acq = rr.vm("Gang").stats.spin_acquisitions;
@@ -91,6 +79,7 @@ void print_tables(const Sweep& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (unexpected_arguments(argc, argv)) return 2;
   Sweep sweep = build_sweep();
-  return run_bench_main(argc, argv, sweep, "churn", annotate, print_tables);
+  return run_bench_main(sweep, "churn", print_tables);
 }

@@ -1,9 +1,9 @@
 // Cluster fabric bench: event-engine throughput for a 16-host fleet under
 // the full robustness storm.
 //
-// For each scheduler the point runs cluster_chaos_scenario at 16 hosts /
-// 200 tenants: seeded churn of live migrations, retirements and hot
-// admissions, two host crashes (with crash recovery re-placing every
+// One point per scheduler (Credit, CON) runs cluster_chaos_scenario at 16
+// hosts / 200 tenants: seeded churn of live migrations, retirements and
+// hot admissions, two host crashes (with crash recovery re-placing every
 // surviving VM), a degraded-host window and a migration-link-loss window.
 // The points run through the same BasicSweep harness as the single-host
 // benches; each point's scheduler and seed come from its ClusterScenario.
@@ -23,31 +23,15 @@ namespace {
 
 using ClusterSweep = BasicSweep<ex::ClusterScenario>;
 
+// No ASMan point: the storm runs no guest kernels, so no VCRD is ever
+// reported and ASMan schedules exactly as Credit does (same fleet
+// fingerprint, same event count).
 constexpr core::SchedulerKind kScheds[] = {core::SchedulerKind::kCredit,
-                                           core::SchedulerKind::kCon,
-                                           core::SchedulerKind::kAsman};
+                                           core::SchedulerKind::kCon};
 
 constexpr std::uint32_t kHosts = 16;
 constexpr std::uint32_t kVms = 200;
 constexpr std::uint64_t kSeed = 42;
-
-void annotate(const ClusterSweep::PointResult& p, benchmark::State& st) {
-  const ex::ClusterRunResult& rr = p.run;
-  st.counters["events_per_sec"] =
-      p.cpu_seconds > 0
-          ? static_cast<double>(rr.events) / p.cpu_seconds
-          : 0.0;
-  st.counters["migrations_committed"] =
-      static_cast<double>(rr.migrations_committed);
-  st.counters["migrations_aborted"] =
-      static_cast<double>(rr.migrations_aborted);
-  st.counters["host_crashes"] = static_cast<double>(rr.host_crashes);
-  st.counters["vms_replaced"] = static_cast<double>(rr.vms_replaced);
-  st.counters["vms_lost"] = static_cast<double>(rr.vms_lost);
-  st.counters["admission_rejects"] =
-      static_cast<double>(rr.admission_rejects);
-  st.counters["peak_rss_bytes"] = static_cast<double>(peak_rss_bytes());
-}
 
 void print_table(const ClusterSweep& sweep) {
   std::printf("\n== cluster fabric storm (%u hosts, %u tenants, seed %llu) "
@@ -77,12 +61,12 @@ void print_table(const ClusterSweep& sweep) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (unexpected_arguments(argc, argv)) return 2;
   ClusterSweep sweep;
   for (core::SchedulerKind k : kScheds)
     sweep.add(core::to_string(k),
               ex::cluster_chaos_scenario(k, kHosts, kVms, kSeed));
-  const int rc =
-      run_bench_main(argc, argv, sweep, "cluster", annotate, print_table);
+  const int rc = run_bench_main(sweep, "cluster", print_table);
 
   // Crash recovery is a hard gate beside the audit: a VM lost to a host
   // crash fails the binary, exactly like an invariant violation.

@@ -11,8 +11,8 @@
 // pressure-aware placement, steal gating and balancing alone buy; Jain
 // fairness shows the fairness side of the trade. The table aggregates
 // across seeds (single seeds are noise-dominated — boot order decides
-// which LLC the streamer lands on); the per-point benchmark entries keep
-// the per-seed spread visible. Run with ASMAN_AUDIT=1 to get the
+// which LLC the streamer lands on); `asman_cli contention --seed N` shows
+// one seed's numbers. Run with ASMAN_AUDIT=1 to get the
 // pressure-conservation invariant checked on every point.
 #include "bench_util.h"
 #include "experiments/contention.h"
@@ -65,19 +65,6 @@ double degraded_fraction(std::uint64_t degraded, std::uint64_t accounted) {
   return accounted > 0
              ? static_cast<double>(degraded) / static_cast<double>(accounted)
              : 0.0;
-}
-
-void annotate(const PointResult& pr, benchmark::State& st) {
-  const ex::RunResult& rr = pr.run;
-  st.counters["degraded_cycles"] = static_cast<double>(rr.pressure_degraded);
-  st.counters["degraded_frac"] =
-      degraded_fraction(rr.pressure_degraded, rr.pressure_accounted);
-  st.counters["pressure_periods"] =
-      static_cast<double>(rr.pressure_periods);
-  st.counters["steal_rejects"] =
-      static_cast<double>(rr.pressure_steal_rejects);
-  st.counters["rebalances"] = static_cast<double>(rr.pressure_rebalances);
-  st.counters["jain_mean"] = rr.fairness_mean;
 }
 
 /// One table row aggregated over the seeds of a (scheduler, mode) cell:
@@ -139,7 +126,7 @@ void print_tables(const Sweep& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (unexpected_arguments(argc, argv)) return 2;
   Sweep sweep = build_sweep();
-  return run_bench_main(argc, argv, sweep, "contention", annotate,
-                        print_tables);
+  return run_bench_main(sweep, "contention", print_tables);
 }

@@ -37,18 +37,6 @@ Sweep build_sweep() {
   return s;
 }
 
-void annotate(const PointResult& pr, benchmark::State& st) {
-  const ex::RunResult& rr = pr.run;
-  st.counters["gang_work"] =
-      static_cast<double>(rr.vm("Gang").stats.spin_acquisitions);
-  st.counters["ipi_retries"] = static_cast<double>(rr.ipi_retries);
-  st.counters["gang_ipi_aborts"] = static_cast<double>(rr.gang_ipi_aborts);
-  st.counters["watchdog_fires"] =
-      static_cast<double>(rr.gang_watchdog_fires);
-  st.counters["demotions"] = static_cast<double>(rr.vcrd_demotions);
-  st.counters["evacuated"] = static_cast<double>(rr.evacuated_vcpus);
-}
-
 void print_tables(const Sweep& s) {
   for (core::SchedulerKind k : kScheds) {
     const ex::RunResult& base =
@@ -87,6 +75,7 @@ void print_tables(const Sweep& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (unexpected_arguments(argc, argv)) return 2;
   Sweep sweep = build_sweep();
-  return run_bench_main(argc, argv, sweep, "faults", annotate, print_tables);
+  return run_bench_main(sweep, "faults", print_tables);
 }

@@ -47,20 +47,6 @@ Sweep build_sweep() {
   return s;
 }
 
-void annotate(const PointResult& pr, benchmark::State& st) {
-  const ex::RunResult& rr = pr.run;
-  st.counters["gang_work"] =
-      static_cast<double>(rr.vm("Gang").stats.spin_acquisitions);
-  st.counters["migrations"] = static_cast<double>(rr.migrations);
-  st.counters["cross_llc"] = static_cast<double>(rr.cross_llc_migrations);
-  st.counters["cross_socket"] =
-      static_cast<double>(rr.cross_socket_migrations);
-  st.counters["penalty_cycles"] =
-      static_cast<double>(rr.migration_penalty_cycles);
-  st.counters["steal_rejects"] =
-      static_cast<double>(rr.topology_steal_rejects);
-}
-
 void add_row(ex::TextTable& t, const char* label, const ex::RunResult& rr) {
   t.add_row({label, std::to_string(rr.vm("Gang").stats.spin_acquisitions),
              std::to_string(rr.migrations),
@@ -88,7 +74,7 @@ void print_tables(const Sweep& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (unexpected_arguments(argc, argv)) return 2;
   Sweep sweep = build_sweep();
-  return run_bench_main(argc, argv, sweep, "topology", annotate,
-                        print_tables);
+  return run_bench_main(sweep, "topology", print_tables);
 }

@@ -13,6 +13,17 @@ std::uint64_t peak_rss_bytes() {
   return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024u;
 }
 
+bool unexpected_arguments(int argc, char** argv) {
+  if (argc <= 1) return false;
+  std::fprintf(stderr,
+               "unexpected argument '%s'\n"
+               "usage: %s\n"
+               "  (no arguments: runs the sweep, writes BENCH_<name>.json and "
+               "prints the tables)\n",
+               argv[1], argv[0]);
+  return true;
+}
+
 template <typename Sc>
 std::string write_bench_json(const BasicSweep<Sc>& sweep,
                              const std::string& name) {
@@ -51,18 +62,13 @@ std::string write_bench_json(const BasicSweep<Sc>& sweep,
 
 template <typename Sc>
 int run_bench_main(
-    int argc, char** argv, BasicSweep<Sc>& sweep, const std::string& prefix,
-    const std::type_identity_t<BasicAnnotator<Sc>>& annotate,
+    BasicSweep<Sc>& sweep, const std::string& name,
     const std::type_identity_t<std::function<void(const BasicSweep<Sc>&)>>&
         print_tables) {
-  benchmark::Initialize(&argc, argv);
   sweep.execute();
-  const std::string json = write_bench_json(sweep, prefix);
+  const std::string json = write_bench_json(sweep, name);
   if (!json.empty())
     std::fprintf(stderr, "[bench] wrote %s\n", json.c_str());
-  sweep.register_benchmarks(prefix, annotate);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   print_tables(sweep);
   // With ASMAN_AUDIT=1 in the environment every simulation ran with the
   // invariant auditor attached (see run_scenario); surface the verdict and
@@ -77,15 +83,12 @@ int run_bench_main(
 }
 
 template std::string write_bench_json(const Sweep&, const std::string&);
-template int run_bench_main(int, char**, Sweep&, const std::string&,
-                            const Annotator&,
+template int run_bench_main(Sweep&, const std::string&,
                             const std::function<void(const Sweep&)>&);
 
 using ClusterSweep = BasicSweep<ex::ClusterScenario>;
 template std::string write_bench_json(const ClusterSweep&, const std::string&);
-template int run_bench_main(
-    int, char**, ClusterSweep&, const std::string&,
-    const BasicAnnotator<ex::ClusterScenario>&,
-    const std::function<void(const ClusterSweep&)>&);
+template int run_bench_main(ClusterSweep&, const std::string&,
+                            const std::function<void(const ClusterSweep&)>&);
 
 }  // namespace asman::bench

@@ -1,17 +1,14 @@
-// Shared plumbing for the bench binaries.
+// Shared plumbing for the sweep bench binaries (`figures` and the stress
+// benches).
 //
-// Every bench binary declares a sweep of scenarios (scheduler x online rate
-// x workload for the paper figures, or one cluster storm per scheduler),
-// executes them in parallel on a thread pool (each simulation is
-// single-threaded and deterministic), registers one google-benchmark entry
-// per point whose manual time is the measured simulation CPU time and
-// whose counters carry the paper metrics, writes BENCH_<name>.json and
-// finally prints its tables. BasicSweep is generic over the scenario type:
-// ex::Scenario runs through run_scenario (Sweep, the single-host benches),
-// ex::ClusterScenario through run_cluster_scenario (bench_cluster).
+// A bench declares a sweep of scenarios by label, executes them in
+// parallel on a thread pool (each simulation is single-threaded and
+// deterministic), writes BENCH_<name>.json with the per-point simulation
+// CPU time and finally prints its tables. BasicSweep is generic over the
+// scenario type: ex::Scenario runs through run_scenario (Sweep, the
+// single-host benches), ex::ClusterScenario through run_cluster_scenario
+// (bench_cluster).
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 // asman-lint: allow(determinism) -- host CPU clock measures the harness, not the simulation
@@ -26,7 +23,6 @@
 
 #include "experiments/cluster.h"
 #include "experiments/paper.h"
-#include "experiments/runner.h"
 #include "experiments/tables.h"
 #include "simcore/thread_pool.h"
 
@@ -68,17 +64,16 @@ inline double cpu_seconds_of(const std::function<void()>& fn) {
   return now() - t0;
 }
 
-/// Annotates one google-benchmark entry with counters for a point.
-template <typename Sc>
-using BasicAnnotator =
-    std::function<void(const BasicPointResult<Sc>&, benchmark::State&)>;
-
 template <typename Sc>
 class BasicSweep {
  public:
   using PointResult = BasicPointResult<Sc>;
 
+  /// Declares a point. A label names exactly one scenario, so several
+  /// tables can read one point: adding a label that is already declared
+  /// keeps the first scenario and does nothing.
   void add(std::string label, Sc scenario) {
+    if (contains(label)) return;
     labels_.push_back(label);
     scenarios_.emplace(std::move(label), std::move(scenario));
   }
@@ -146,25 +141,6 @@ class BasicSweep {
     return results_.count(label) != 0;
   }
 
-  /// One google-benchmark entry per point; manual time = simulation CPU
-  /// time, counters = paper metrics chosen by `annotate`.
-  void register_benchmarks(const std::string& prefix,
-                           BasicAnnotator<Sc> annotate) const {
-    for (const auto& l : labels_) {
-      const PointResult* pr = &results_.at(l);
-      benchmark::RegisterBenchmark(
-          (prefix + "/" + l).c_str(),
-          [pr, annotate](benchmark::State& state) {
-            for (auto _ : state) {
-              state.SetIterationTime(pr->cpu_seconds);
-            }
-            annotate(*pr, state);
-          })
-          ->UseManualTime()
-          ->Iterations(1);
-    }
-  }
-
  private:
   std::vector<std::string> labels_;
   std::map<std::string, Sc> scenarios_;
@@ -172,20 +148,15 @@ class BasicSweep {
 };
 
 using Sweep = BasicSweep<ex::Scenario>;
-using PointResult = BasicPointResult<ex::Scenario>;
-using Annotator = BasicAnnotator<ex::Scenario>;
-
-/// Canonical single-VM label "SCHED/rateNN".
-inline std::string rate_label(core::SchedulerKind k, double rate) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%s/rate%.1f", core::to_string(k),
-                rate * 100.0);
-  return buf;
-}
 
 /// Peak resident set size of this process in bytes (getrusage; 0 when the
 /// platform reports nothing useful).
 std::uint64_t peak_rss_bytes();
+
+/// The stress benches take no arguments. When the command line has any,
+/// prints usage on stderr and returns true; main then exits 2 before it
+/// simulates anything.
+bool unexpected_arguments(int argc, char** argv);
 
 /// Writes BENCH_<name>.json next to the binary's working directory: one
 /// record per executed point carrying label, scheduler, seed, simulated
@@ -197,13 +168,12 @@ template <typename Sc>
 std::string write_bench_json(const BasicSweep<Sc>& sweep,
                              const std::string& name);
 
-/// Standard bench entry point: execute sweep, emit tables and
-/// BENCH_<prefix>.json, then hand over to google-benchmark. Returns 1 when
-/// an audited point violated an invariant, else 0.
+/// Standard bench body: execute the sweep, write BENCH_<name>.json, print
+/// the tables. Returns 1 when an audited point violated an invariant,
+/// else 0.
 template <typename Sc>
 int run_bench_main(
-    int argc, char** argv, BasicSweep<Sc>& sweep, const std::string& prefix,
-    const std::type_identity_t<BasicAnnotator<Sc>>& annotate,
+    BasicSweep<Sc>& sweep, const std::string& name,
     const std::type_identity_t<std::function<void(const BasicSweep<Sc>&)>>&
         print_tables);
 

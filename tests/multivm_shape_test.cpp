@@ -1,5 +1,5 @@
-// Reduced-scale §5.3 shape assertions (full-scale versions live in
-// bench/fig11_multivm4 and bench/fig12_multivm6): with concurrent and
+// Reduced-scale §5.3 shape assertions (the full-scale runs are
+// `figures fig11` and `figures fig12` in bench/): with concurrent and
 // high-throughput VMs sharing a host in work-conserving mode,
 // coscheduling must rescue the concurrent VMs without starving anyone.
 #include <gtest/gtest.h>

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "experiments/paper.h"
-#include "experiments/runner.h"
 #include "workloads/synthetic.h"
 
 namespace asman::experiments {
@@ -138,33 +137,6 @@ TEST(PaperConfigs, RatePointsMatchEquation2) {
         static_cast<double>(rp.weight) / (256.0 + rp.weight);
     EXPECT_NEAR(8.0 * omega / 4.0, rp.rate, 5e-4);
   }
-}
-
-TEST(Runner, SweepPreservesOrder) {
-  std::vector<SweepPoint> pts;
-  for (int i = 0; i < 3; ++i) {
-    Scenario sc = tiny_scenario(core::SchedulerKind::kCredit);
-    sc.seed = static_cast<std::uint64_t>(i + 1);
-    pts.push_back({"p" + std::to_string(i), std::move(sc)});
-  }
-  const auto results = run_sweep(pts, 2);
-  ASSERT_EQ(results.size(), 3u);
-  for (const auto& r : results) EXPECT_TRUE(r.vm("V1").finished);
-  // Order is by input, not completion: seeds differ so runtimes differ,
-  // and re-running yields identical values (determinism through the pool).
-  const auto again = run_sweep(pts, 2);
-  for (std::size_t i = 0; i < 3; ++i)
-    EXPECT_DOUBLE_EQ(results[i].vm("V1").runtime_seconds,
-                     again[i].vm("V1").runtime_seconds);
-}
-
-TEST(Runner, RepeatedProtocolSummarizes) {
-  Scenario sc = tiny_scenario(core::SchedulerKind::kCredit);
-  const sim::Summary s = run_repeated(
-      sc, 5, [](const RunResult& r) { return r.vm("V1").runtime_seconds; }, 2);
-  EXPECT_EQ(s.count(), 5u);
-  EXPECT_GT(s.mean(), 0.0);
-  EXPECT_LT(s.cv(), 0.5);
 }
 
 }  // namespace

@@ -16,7 +16,7 @@
 //                    with -Wthread-safety on the annotated types).
 //   rng-discipline - a worker may not draw from a captured RNG stream;
 //                    seeds are split per task BEFORE the fan-out and each
-//                    task seeds its own stream (see run_repeated).
+//                    task seeds its own stream.
 //
 // The cross-TU half follows calls out of worker lambdas through the call
 // graph: any reachable write to a file-scope mutable static is a hidden
@@ -186,7 +186,7 @@ void check_thread_safety(const AnalysisContext& ctx) {
         ctx.report(t[j].line, "rng-discipline",
                    "pool worker draws from captured RNG `" + name +
                        "`: split seeds before the fan-out and give each "
-                       "task its own seeded stream (see run_repeated)");
+                       "task its own seeded stream");
         continue;
       }
 
